@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
-from .divergences import chernoff_distance, psi_curve_from_probabilities
-from .errors import ConvergenceError, DegeneracyError, ValidationError
-
-_CF_MAX_TERMS = 300
-_CF_EPS = 1e-14
-_CF_TINY = 1e-300
+from .divergences import _logsumexp, chernoff_distance, psi_curve_from_probabilities
+from .errors import DegeneracyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -38,13 +34,6 @@ class BinaryPair:
         if self.p > self.q:
             object.__setattr__(self, "p", 1.0 - self.p)
             object.__setattr__(self, "q", 1.0 - self.q)
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(math.fsum(np.exp(values - m)))
 
 
 def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
@@ -78,74 +67,18 @@ def crossover_s(bp: BinaryPair, a: float) -> float:
     return num / den
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # continued fraction for the incomplete beta, modified Lentz iteration
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_TERMS + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ConvergenceError(f"incomplete beta continued fraction stalled after {_CF_MAX_TERMS} terms")
-
-
 def inc_beta_reg(z: float, k: float, l: float) -> float:
     """Regularized incomplete beta I_z(k, l) for k, l >= 0 and z in [0, 1].
 
-    Continued fraction evaluation; the symmetry 1 - I_z(k, l) = I_{1-z}(l, k)
-    switches branches at z = (k+1)/(k+l+2) so the fraction always converges
-    fast. Degenerate shapes follow the point-mass conventions: k = 0 gives 1
-    (all mass at 0), l = 0 gives 0 for z < 1 (all mass at 1).
+    Evaluated by scipy.special.betainc. Degenerate shapes follow the
+    point-mass conventions: k = 0 gives 1 (all mass at 0), l = 0 gives 0 for
+    z < 1 (all mass at 1).
     """
     if not 0.0 <= z <= 1.0:
         raise ValidationError(f"need z in [0, 1], got {z}")
     if k < 0.0 or l < 0.0 or (k == 0.0 and l == 0.0):
         raise ValidationError(f"need k, l >= 0 and not both 0, got k={k}, l={l}")
-    if k == 0.0:
-        return 1.0
-    if l == 0.0:
-        return 1.0 if z == 1.0 else 0.0
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(k + l)
-        - math.lgamma(k)
-        - math.lgamma(l)
-        + k * math.log(z)
-        + l * math.log1p(-z)
-    )
-    front = math.exp(log_front)
-    if z < (k + 1.0) / (k + l + 2.0):
-        return front * _betacf(k, l, z) / k
-    return 1.0 - front * _betacf(l, k, 1.0 - z) / l
+    return float(betainc(k, l, z))
 
 
 class EnBounds(NamedTuple):

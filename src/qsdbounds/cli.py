@@ -176,7 +176,8 @@ def _cmd_stein(args) -> int:
         upper = stein_upper(curve, n, args.eps, args.variant)
         exact = None
         if rho.dim**n <= DIM_CAP:
-            exact = math.log(beta_eps_exact(rho, sigma, n, args.eps)) / n
+            beta = beta_eps_exact(rho, sigma, n, args.eps)
+            exact = math.log(beta) / n if beta > 0.0 else -math.inf
         ref = second_order_reference(curve, n, args.eps)
         return [
             n,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import bisect_decreasing, golden_max, grid_golden_max
-from .errors import ConvergenceError, DegeneracyError, ValidationError
+from .errors import ConvergenceError, DegeneracyError, QsdError, ValidationError
 from .linalg import (
     DensityMatrix,
     SpectralDecomposition,
@@ -114,6 +114,9 @@ def psi_curve_from_probabilities(p, q) -> PsiCurve:
 
 
 def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values) by a shifted fsum; -inf for an empty array."""
+    if values.size == 0:
+        return -math.inf
     m = float(np.max(values))
     if not math.isfinite(m):
         return m
@@ -315,11 +318,10 @@ def entropy_difference_bound(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.dim == 1:
         return 0.0
     t_half = min(trace_norm(a.matrix - b.matrix) / 2.0, 1.0)
-    bound = t_half * math.log(a.dim - 1) if a.dim > 1 else 0.0
-    bound += binary_entropy(t_half)
+    bound = t_half * math.log(a.dim - 1) + binary_entropy(t_half)
     gap = abs(von_neumann_entropy(a) - von_neumann_entropy(b))
     if gap > bound + 1e-9:
-        raise ArithmeticError(
+        raise QsdError(
             f"entropy difference {gap!r} exceeds its bound {bound!r}; numerical inconsistency"
         )
     return bound

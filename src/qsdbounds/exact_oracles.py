@@ -18,11 +18,12 @@ from .linalg import (
     DIM_CAP,
     DensityMatrix,
     HermitianMatrix,
+    matrix_power_support,
     positive_part_trace,
     tensor_power,
     trace_norm,
 )
-from .ns_mapping import MAX_TYPES, _check_type_budget, iter_types
+from .ns_mapping import MAX_TYPES, _type_sums, _type_table
 
 _KERNEL_TOL = 1e-12
 
@@ -83,16 +84,23 @@ def beta_eps_exact(
 ) -> float:
     """Minimal type-II error at type-I budget eps over all operator tests.
 
-    Computed through the concave dual
+    beta is exactly 0 when (Tr rho Pi)^n <= eps for Pi the support projector
+    of sigma: the test I - Pi^(tensor n) then meets the budget, and no test
+    with zero type-II error does better. Otherwise it is computed through
+    the dual
 
         beta = sup over lam >= 0 of (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ ,
 
-    a piecewise linear objective maximized by bracketing doubling plus
-    golden-section refinement. The result is clamped to [0, 1].
+    whose objective is concave in lam (piecewise linear only when rho and
+    sigma commute), maximized by bracketing doubling plus golden-section
+    refinement. The result is clamped to [0, 1].
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     rn, sn = _tensor_pair(rho, sigma, n, dim_cap)
+    support = matrix_power_support(sigma.spectral(), 0.0).array
+    if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
+        return 0.0
 
     def objective(lam: float) -> float:
         return (1.0 - eps) * lam - positive_part_trace(HermitianMatrix(lam * rn - sn))
@@ -130,40 +138,26 @@ def classical_beta_eps_exact(
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    k = pa.size
-    _check_type_budget(n, k, max_types)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(pa)
-        log_q = np.log(qa)
-    lg = [math.lgamma(i + 1) for i in range(n + 1)]
-    classes: list[tuple[float, float, float]] = []
-    for counts in iter_types(n, k):
-        log_coef = lg[n] - math.fsum(lg[ci] for ci in counts if ci)
-        s_p = math.fsum(ci * lp for ci, lp in zip(counts, log_p) if ci)
-        s_q = math.fsum(ci * lq for ci, lq in zip(counts, log_q) if ci)
-        mass_p = math.exp(log_coef + s_p) if math.isfinite(s_p) else 0.0
-        mass_q = math.exp(log_coef + s_q) if math.isfinite(s_q) else 0.0
-        if mass_p == 0.0 and mass_q == 0.0:
-            continue
-        if mass_q == 0.0:
-            key = math.inf
-        elif mass_p == 0.0:
-            key = -math.inf
-        else:
-            key = s_p - s_q
-        classes.append((key, mass_p, mass_q))
-    classes.sort(key=lambda row: -row[0])
-    remaining = 1.0 - eps
-    beta = 0.0
-    for _, mass_p, mass_q in classes:
-        if remaining <= 1e-15:
-            break
-        if mass_p <= 0.0:
-            continue
-        if mass_p <= remaining:
-            beta += mass_q
-            remaining -= mass_p
-        else:
-            beta += (remaining / mass_p) * mass_q
-            remaining = 0.0
+    counts, log_coef = _type_table(n, pa.size, max_types)
+    zero_p = pa == 0.0
+    zero_q = qa == 0.0
+    weights = np.column_stack(
+        (np.log(np.where(zero_p, 1.0, pa)), np.log(np.where(zero_q, 1.0, qa)), zero_p, zero_q)
+    )
+    s_p, s_q, hits_p, hits_q = _type_sums(counts, weights)
+    # a type that draws a zero-mass letter has zero mass
+    mass_p = np.where(hits_p > 0.0, 0.0, np.exp(log_coef + s_p))
+    mass_q = np.where(hits_q > 0.0, 0.0, np.exp(log_coef + s_q))
+    keep = mass_p > 0.0
+    key = np.where(mass_q == 0.0, math.inf, s_p - s_q)[keep]
+    order = np.argsort(-key, kind="stable")
+    mass_p = mass_p[keep][order]
+    mass_q = mass_q[keep][order]
+    # p-budget left before each type, subtracted in the acceptance order
+    remaining = np.subtract.accumulate(np.concatenate(([1.0 - eps], mass_p)))[:-1]
+    fits = (remaining > 1e-15) & (mass_p <= remaining)
+    stop = int(np.argmin(fits)) if not fits.all() else fits.size
+    beta = math.fsum(mass_q[:stop])
+    if stop < fits.size and remaining[stop] > 1e-15:
+        beta += (remaining[stop] / mass_p[stop]) * mass_q[stop]
     return min(max(beta, 0.0), 1.0)

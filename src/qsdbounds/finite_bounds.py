@@ -279,6 +279,34 @@ def _union_support_dim(rho: DensityMatrix, sigma: DensityMatrix) -> int:
     return int(np.count_nonzero(w > SUPPORT_CUTOFF * max(1.0, float(w.max()))))
 
 
+class _TypesSetup(NamedTuple):
+    curve: PsiCurve
+    common: float
+    c: float
+    p_min: float
+    q_min: float
+
+
+def _quantum_types_setup(
+    rho: DensityMatrix, sigma: DensityMatrix, n: int, group_tol: float, params: dict
+) -> _TypesSetup:
+    """Induced classical pair and method-of-types penalty shared by the quantum lower bounds.
+
+    Records d in params; raises ValidationError with the reason the bound is
+    unavailable (orthogonal supports, or n < d^2 (d^2 - 1)).
+    """
+    d = _union_support_dim(rho, sigma)
+    card = d * d
+    params["d"] = d
+    pair = build_classical_pair(rho.spectral(group_tol), sigma.spectral(group_tol))
+    if n < card * (card - 1):
+        raise ValidationError(f"needs n >= {card * (card - 1)}")
+    p_min = float(np.min(pair.p))
+    q_min = float(np.min(pair.q))
+    common, c = _types_penalty(n, card, min(p_min, q_min))
+    return _TypesSetup(pair.psi_curve(), common, c, p_min, q_min)
+
+
 def quantum_mixed_lower(
     rho: DensityMatrix, sigma: DensityMatrix, n: int, r: float, group_tol: float = 1e-8
 ) -> BoundReport:
@@ -292,28 +320,17 @@ def quantum_mixed_lower(
     n >= d^2 (d^2 - 1).
     """
     _check_n(n)
-    d = _union_support_dim(rho, sigma)
-    card = d * d
-    params: dict[str, Any] = {"r": r, "d": d}
+    params: dict[str, Any] = {"r": r}
     try:
-        pair = build_classical_pair(rho.spectral(group_tol), sigma.spectral(group_tol))
+        setup = _quantum_types_setup(rho, sigma, n, group_tol, params)
+        t_r = solve_t_r(setup.curve, r)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    if n < card * (card - 1):
-        return _invalid(n, "mixed_rate", "lower", params, f"needs n >= {card * (card - 1)}")
-    curve = pair.psi_curve()
-    try:
-        t_r = solve_t_r(curve, r)
-    except (DegeneracyError, ValidationError) as exc:
-        return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    h_r = hoeffding_distance(curve, r)
-    p_min = float(np.min(pair.p))
-    q_min = float(np.min(pair.q))
-    common, c = _types_penalty(n, card, min(p_min, q_min))
+    h_r = hoeffding_distance(setup.curve, r)
     params.update({"t_r": t_r, "a_r": h_r - r, "hoeffding_distance": h_r,
-                   "c": c, "p_min": p_min, "q_min": q_min})
+                   "c": setup.c, "p_min": setup.p_min, "q_min": setup.q_min})
     return BoundReport(n=n, quantity="mixed_rate", side="lower",
-                       bound_value=-h_r + common - c / n, parameters=params)
+                       bound_value=-h_r + setup.common - setup.c / n, parameters=params)
 
 
 def quantum_chernoff_lower(
@@ -325,28 +342,20 @@ def quantum_chernoff_lower(
     Chernoff distance and the bound reads -C - penalties.
     """
     _check_n(n)
-    d = _union_support_dim(rho, sigma)
-    card = d * d
-    params: dict[str, Any] = {"d": d}
+    params: dict[str, Any] = {}
     try:
-        pair = build_classical_pair(rho.spectral(group_tol), sigma.spectral(group_tol))
+        setup = _quantum_types_setup(rho, sigma, n, group_tol, params)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    if n < card * (card - 1):
-        return _invalid(n, "mixed_rate", "lower", params, f"needs n >= {card * (card - 1)}")
-    curve = pair.psi_curve()
-    slope0 = psi_prime(curve, 0.0)
-    slope1 = psi_prime(curve, 1.0)
-    if not (slope0 < 0.0 < slope1):
+    curve = setup.curve
+    if not (psi_prime(curve, 0.0) < 0.0 < psi_prime(curve, 1.0)):
         return _invalid(n, "mixed_rate", "lower", params, "psi' has no root in (0, 1)")
     t_0 = bisect_decreasing(lambda t: -psi_prime(curve, t), 0.0, 1.0, 0.0, 1e-12)
     chern = -psi(curve, t_0)
-    p_min = float(np.min(pair.p))
-    q_min = float(np.min(pair.q))
-    common, c = _types_penalty(n, card, min(p_min, q_min))
-    params.update({"t_0": t_0, "chernoff": chern, "c": c, "p_min": p_min, "q_min": q_min})
+    params.update({"t_0": t_0, "chernoff": chern, "c": setup.c,
+                   "p_min": setup.p_min, "q_min": setup.q_min})
     return BoundReport(n=n, quantity="mixed_rate", side="lower",
-                       bound_value=-chern + common - c / n, parameters=params)
+                       bound_value=-chern + setup.common - setup.c / n, parameters=params)
 
 
 def second_order_reference(curve: PsiCurve, n: int, eps: float) -> BoundReport:

@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
-from .divergences import PsiCurve, psi_curve_from_probabilities
+from .divergences import PsiCurve, _logsumexp, psi_curve_from_probabilities
 from .errors import ResourceLimitError, ValidationError
 from .linalg import SpectralDecomposition, support_overlap_table
 
@@ -192,31 +194,57 @@ def halfspace_type_approximation(
     return below, above
 
 
-def iter_types(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors of length k summing to n, in lexicographic order."""
+def _type_table(n: int, k: int, max_types: int = MAX_TYPES) -> tuple[np.ndarray, np.ndarray]:
+    """All types of n draws from k letters, in lexicographic order.
+
+    Returns int32 counts of shape (T, k), T = C(n+k-1, k-1), and the log
+    multinomial coefficients log(n! / prod c_i!) of shape (T,). A type is
+    read off its k-1 bar positions among n+k-1 slots (stars and bars).
+    Raises ResourceLimitError when T exceeds max_types.
+    """
     if k < 1 or n < 0:
         raise ValidationError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_types(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _check_type_budget(n: int, k: int, max_types: int) -> None:
     total = math.comb(n + k - 1, k - 1)
     if total > max_types:
         raise ResourceLimitError(f"type enumeration size {total} exceeds cap {max_types}")
+    edges = np.empty((total, k + 1), dtype=np.int32)
+    edges[:, 0] = -1
+    edges[:, -1] = n + k - 1
+    edges[:, 1:-1] = np.fromiter(
+        chain.from_iterable(combinations(range(n + k - 1), k - 1)),
+        dtype=np.int32,
+        count=total * (k - 1),
+    ).reshape(total, k - 1)
+    counts = np.diff(edges, axis=1)
+    counts -= 1
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    log_coef = np.full(total, lg[n])
+    for col in counts.T:
+        log_coef -= lg[col]
+    return counts, log_coef
 
 
-def _logsumexp_list(values: list[float]) -> float:
-    if not values:
-        return -math.inf
-    m = max(values)
-    if not math.isfinite(m):
-        return m
-    return m + math.log(math.fsum(math.exp(x - m) for x in values))
+def _type_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(counts @ weights).T for a (k, m) weight matrix, accumulated one letter at a time.
+
+    Each product c_i w_i is rounded before it is added, so exact ties such
+    as c r - c r = 0 stay exact; a BLAS product may fuse the multiply and
+    the add and leave a one-ulp residue. No temporary is larger than one
+    float64 column of length T.
+    """
+    out = np.zeros((weights.shape[1], counts.shape[0]))
+    for col, w in zip(counts.T, weights):
+        for row, x in zip(out, w):
+            row += col * x
+    return out
+
+
+def iter_types(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All count vectors of length k summing to n, in lexicographic order.
+
+    These are the rows of the type table, so the MAX_TYPES cap applies.
+    """
+    yield from map(tuple, _type_table(n, k)[0].tolist())
 
 
 class ClassicalErrors(NamedTuple):
@@ -242,24 +270,14 @@ def classical_exact_errors_log(
         raise ValidationError("p and q must be strictly positive")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    k = pa.size
-    _check_type_budget(n, k, max_types)
-    log_p = [math.log(x) for x in pa]
-    log_q = [math.log(x) for x in qa]
-    ratio = [lp - lq for lp, lq in zip(log_p, log_q)]
-    lg = [math.lgamma(i + 1) for i in range(n + 1)]
+    counts, log_coef = _type_table(n, pa.size, max_types)
+    log_p = np.log(pa)
+    log_q = np.log(qa)
+    stat, s_p, s_q = _type_sums(counts, np.column_stack((log_p - log_q, log_p, log_q)))
     na = n * a
-    alpha_terms: list[float] = []
-    beta_terms: list[float] = []
-    for counts in iter_types(n, k):
-        stat = math.fsum(ci * fi for ci, fi in zip(counts, ratio) if ci)
-        log_coef = lg[n] - math.fsum(lg[ci] for ci in counts if ci)
-        if stat >= na:
-            beta_terms.append(log_coef + math.fsum(ci * lq for ci, lq in zip(counts, log_q) if ci))
-        else:
-            alpha_terms.append(log_coef + math.fsum(ci * lp for ci, lp in zip(counts, log_p) if ci))
-    log_alpha = _logsumexp_list(alpha_terms)
-    log_beta = _logsumexp_list(beta_terms)
+    accept = stat >= na
+    log_alpha = _logsumexp(log_coef[~accept] + s_p[~accept])
+    log_beta = _logsumexp(log_coef[accept] + s_q[accept])
     log_mixed = float(np.logaddexp(-na + log_alpha, log_beta))
     return log_alpha, log_beta, log_mixed
 

@@ -116,6 +116,18 @@ def test_stein_csv_brackets_exact(tmp_path, pair_files):
         assert float(lower) <= float(exact) <= float(upper)
 
 
+def test_stein_pure_sigma_writes_minus_inf_once_beta_vanishes(tmp_path):
+    # <+|rho|+> = 0.6, so beta_{n,0.1} = 0 exactly once 0.6^n <= 0.1, i.e. from n = 5
+    rho_f = write_state(tmp_path / "rho.json", DensityMatrix(np.array([[0.7, 0.1], [0.1, 0.3]])))
+    sig_f = write_state(tmp_path / "plus.json", DensityMatrix.pure([1.0, 1.0]))
+    out = tmp_path / "out"
+    assert main(["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1",
+                 "--n-max", "6", "--out", str(out)]) == 0
+    exact = [line.split(",")[3] for line in (out / "stein.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(cell)) for cell in exact[:4])
+    assert exact[4:] == ["-inf", "-inf"]
+
+
 def test_chernoff_csv_columns(tmp_path, pair_files):
     rho_f, sig_f = pair_files
     out = tmp_path / "out"

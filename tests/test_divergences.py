@@ -6,6 +6,7 @@ import pytest
 from qsdbounds import (
     DegeneracyError,
     DensityMatrix,
+    QsdError,
     ValidationError,
     a_r,
     binary_entropy,
@@ -335,6 +336,14 @@ def test_entropy_difference_bound():
         b = random_full_rank_state(rng, 3)
         bound = entropy_difference_bound(a, b)
         assert abs(von_neumann_entropy(a) - von_neumann_entropy(b)) <= bound + 1e-9
+
+
+def test_entropy_difference_bound_inconsistency_is_a_package_error(monkeypatch):
+    import qsdbounds.divergences as divergences
+
+    monkeypatch.setattr(divergences, "von_neumann_entropy", lambda state: 5.0 * state.array[0, 0].real)
+    with pytest.raises(QsdError):
+        entropy_difference_bound(ZERO, HALF)
 
 
 def test_divergence_profile_and_curve_reuse():

@@ -158,6 +158,14 @@ def test_classical_beta_eps_randomization_between_types():
         assert classical_beta_eps_exact(p, p, 1, eps) == pytest.approx(1.0 - eps, abs=1e-12)
 
 
+def test_beta_eps_zero_exactly_when_sigma_support_misses_enough_rho_mass():
+    rho = DensityMatrix(np.array([[0.7, 0.1], [0.1, 0.3]]))
+    # <+|rho|+> = 0.6: 0.6^4 > 0.1 >= 0.6^5
+    assert beta_eps_exact(rho, PLUS, 4, 0.1) > 0.0
+    assert beta_eps_exact(rho, PLUS, 5, 0.1) == 0.0
+    assert beta_eps_exact(rho, PLUS, 6, 0.1) == 0.0
+
+
 def test_quantum_matches_classical_on_diagonal_states():
     rng = np.random.default_rng(306)
     for _ in range(5):
@@ -170,3 +178,11 @@ def test_quantum_matches_classical_on_diagonal_states():
         quantum = beta_eps_exact(DensityMatrix(np.diag(pv)), DensityMatrix(np.diag(qv)), n, eps)
         classical = classical_beta_eps_exact(pv, qv, n, eps)
         assert quantum == pytest.approx(classical, abs=1e-9)
+    # qutrits with a zero entry in one state: the zero-mass masks of the type table
+    for pv, qv in (([0.5, 0.3, 0.2], [0.6, 0.0, 0.4]), ([0.0, 0.45, 0.55], [0.2, 0.5, 0.3])):
+        pv, qv = np.array(pv), np.array(qv)
+        for n in (1, 3, 5):
+            for eps in (0.1, 0.4):
+                quantum = beta_eps_exact(DensityMatrix(np.diag(pv)), DensityMatrix(np.diag(qv)), n, eps)
+                classical = classical_beta_eps_exact(pv, qv, n, eps)
+                assert quantum == pytest.approx(classical, abs=1e-9)

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -151,6 +152,9 @@ def test_iter_types_counts():
     assert len(types) == math.comb(5 + 3 - 1, 3 - 1)
     assert all(sum(t) == 5 for t in types)
     assert len(set(types)) == len(types)
+    assert types == sorted(t for t in product(range(6), repeat=3) if sum(t) == 5)
+    assert list(iter_types(4, 1)) == [(4,)]
+    assert list(iter_types(0, 2)) == [(0, 0)]
 
 
 def test_classical_exact_errors_identical_distributions():
@@ -186,6 +190,18 @@ def test_classical_exact_errors_match_brute_force():
         p = np.array([p0, 1.0 - p0])
         q = np.array([q0, 1.0 - q0])
         pair = ClassicalPair(labels=((0, 0), (1, 1)), p=p, q=q)
+        got = classical_exact_errors(pair, n, a)
+        alpha, beta, mixed = brute_force_classical_errors(p, q, n, a)
+        assert got.alpha == pytest.approx(alpha, abs=1e-12)
+        assert got.beta == pytest.approx(beta, abs=1e-12)
+        assert got.mixed == pytest.approx(mixed, abs=1e-12)
+    # three-letter alphabets
+    for _ in range(8):
+        p = rng.dirichlet(np.ones(3) * 2.0)
+        q = rng.dirichlet(np.ones(3) * 2.0)
+        n = int(rng.integers(1, 8))
+        a = float(rng.normal(scale=0.3))
+        pair = ClassicalPair(labels=((0, 0), (1, 1), (2, 2)), p=p, q=q)
         got = classical_exact_errors(pair, n, a)
         alpha, beta, mixed = brute_force_classical_errors(p, q, n, a)
         assert got.alpha == pytest.approx(alpha, abs=1e-12)
