@@ -273,8 +273,8 @@ def _add_state_args(sub) -> None:
 def _add_common_args(sub) -> None:
     sub.add_argument("--out", default=os.environ.get("QSDBOUNDS_OUT", "."),
                      help="output directory (default: QSDBOUNDS_OUT or '.')")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads for n-sweeps (default: machine parallelism)")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="worker threads for n-sweeps (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

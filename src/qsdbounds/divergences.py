@@ -23,6 +23,7 @@ from .errors import ConvergenceError, DegeneracyError, QsdError, ValidationError
 from .linalg import (
     DensityMatrix,
     SpectralDecomposition,
+    _fsum,
     support_overlap_table,
     trace_norm,
 )
@@ -120,7 +121,7 @@ def _logsumexp(values: np.ndarray) -> float:
     m = float(np.max(values))
     if not math.isfinite(m):
         return m
-    return m + math.log(math.fsum(np.exp(values - m)))
+    return m + math.log(_fsum(np.exp(values - m)))
 
 
 def _require_joint_support(curve: PsiCurve) -> None:
@@ -138,23 +139,23 @@ def psi(curve: PsiCurve, t: float) -> float:
 def _tilted_weights(curve: PsiCurve, t: float) -> np.ndarray:
     logw = curve.log_q + t * curve.log_ratios
     w = np.exp(logw - logw.max())
-    return w / math.fsum(w)
+    return w / _fsum(w)
 
 
 def psi_prime(curve: PsiCurve, t: float) -> float:
     """psi'(t): mean of the log-ratio statistic under the tilted measure at t."""
     _require_joint_support(curve)
     mu = _tilted_weights(curve, t)
-    return math.fsum(mu * curve.log_ratios)
+    return _fsum(mu * curve.log_ratios)
 
 
 def psi_second(curve: PsiCurve, t: float) -> float:
     """psi''(t): variance of the log-ratio statistic under the tilted measure at t."""
     _require_joint_support(curve)
     mu = _tilted_weights(curve, t)
-    mean = math.fsum(mu * curve.log_ratios)
+    mean = _fsum(mu * curve.log_ratios)
     dev = curve.log_ratios - mean
-    return math.fsum(mu * dev * dev)
+    return _fsum(mu * dev * dev)
 
 
 def _is_degenerate(curve: PsiCurve) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -19,6 +20,21 @@ from .errors import ConvergenceError, ResourceLimitError, ValidationError
 DIM_CAP = 4096
 DEFAULT_GROUP_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-12
+_FSUM_CHUNK = 1 << 16
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-D float array, fed to it as Python floats.
+
+    fsum over an ndarray converts one numpy scalar at a time; converting
+    with tolist() first is 2.5x faster at 4 entries and 1.2x at 2M. Long
+    arrays go over in chunks, so that at most one chunk's Python floats
+    exist at a time (a whole 2M-entry array would need 62 MB of them).
+    """
+    if values.size <= _FSUM_CHUNK:
+        return math.fsum(values.tolist())
+    chunks = (values[i : i + _FSUM_CHUNK].tolist() for i in range(0, values.size, _FSUM_CHUNK))
+    return math.fsum(chain.from_iterable(chunks))
 
 
 class HermitianMatrix:
@@ -45,7 +61,7 @@ class HermitianMatrix:
         return self.array.shape[0]
 
     def trace(self) -> float:
-        return math.fsum(self.array.diagonal().real)
+        return _fsum(self.array.diagonal().real)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix(self.array + other.array)
@@ -187,13 +203,13 @@ def tensor_power(a, n: int, dim_cap: int = DIM_CAP) -> HermitianMatrix:
 def trace_norm(h) -> float:
     """Trace norm ||H||_1; for Hermitian H this is the sum of |eigenvalues|."""
     w = _eigvalsh(_as_hermitian(h).array)
-    return math.fsum(np.abs(w))
+    return _fsum(np.abs(w))
 
 
 def positive_part_trace(h) -> float:
     """Tr (H)_+ , the sum of positive eigenvalues."""
     w = _eigvalsh(_as_hermitian(h).array)
-    return math.fsum(w[w > 0.0])
+    return _fsum(w[w > 0.0])
 
 
 def support_overlap_table(

@@ -15,8 +15,10 @@ from qsdbounds import (
     phi_hat,
     quantum_mixed_error_exact,
 )
+from qsdbounds import exact_oracles
+from qsdbounds.linalg import DIM_CAP, tensor_power
 
-from helpers import qubit_pairs
+from helpers import qubit_pairs, random_full_rank_qubit, random_unitary
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]))
 ONE = DensityMatrix(np.diag([0.0, 1.0]))
@@ -186,3 +188,103 @@ def test_quantum_matches_classical_on_diagonal_states():
                 quantum = beta_eps_exact(DensityMatrix(np.diag(pv)), DensityMatrix(np.diag(qv)), n, eps)
                 classical = classical_beta_eps_exact(pv, qv, n, eps)
                 assert quantum == pytest.approx(classical, abs=1e-9)
+
+
+CROSS_CHECK_KINDS = ("full_rank", "rank_deficient", "pure_rho", "pure_sigma", "commuting", "near_degenerate")
+
+
+def _cross_check_pair(kind: str) -> tuple[DensityMatrix, DensityMatrix]:
+    rng = np.random.default_rng([307, CROSS_CHECK_KINDS.index(kind)])
+
+    def full():
+        return random_full_rank_qubit(rng)
+
+    def pure():
+        return DensityMatrix.pure(random_unitary(rng, 2)[:, 0])
+
+    if kind == "full_rank":
+        return full(), full()
+    if kind == "rank_deficient":  # a rank-deficient qubit is pure: both states rank 1
+        return pure(), pure()
+    if kind == "pure_rho":
+        return pure(), full()
+    if kind == "pure_sigma":
+        return full(), pure()
+    if kind == "commuting":
+        return DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
+    # eigenvalues 4e-9 apart, under the eigensolver's grouping tolerance of 1e-8
+    u = random_unitary(rng, 2)
+    return DensityMatrix((u * np.array([0.5 + 2e-9, 0.5 - 2e-9])) @ u.conj().T), full()
+
+
+def _oracle_values(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> dict:
+    values = {}
+    for a in (-0.1, 0.0, 0.2):
+        values["e", a] = quantum_mixed_error_exact(rho, sigma, n, a)
+        values["np", a] = np_test_errors(rho, sigma, n, a)
+    values["beta"] = beta_eps_exact(rho, sigma, n, 0.2)
+    return values
+
+
+def _assert_values_agree(got: dict, want: dict, compare_flag: bool) -> None:
+    for key, value in want.items():
+        if key == "beta" or key[0] == "e":
+            assert abs(got[key] - value) <= 1e-10 * abs(value), key
+        else:
+            assert abs(got[key].alpha - value.alpha) <= 1e-9, key
+            assert abs(got[key].beta - value.beta) <= 1e-9, key
+            if compare_flag:
+                assert got[key].degenerate_kernel == value.degenerate_kernel, key
+
+
+def _padded_qutrit(state: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(np.pad(state.array, ((0, 1), (0, 1))))
+
+
+@pytest.mark.parametrize("kind", CROSS_CHECK_KINDS)
+def test_qubit_blocks_match_the_dense_path_of_the_padded_qutrit(kind):
+    # rho + 0 and sigma + 0 take the dense d >= 3 route and have the same exact
+    # errors; the padding adds an exact kernel, so the kernel flag is not compared.
+    # 3^n limits this to n <= 5: each 3^7-dim eigensolve takes seconds.
+    rho, sigma = _cross_check_pair(kind)
+    rho3, sigma3 = _padded_qutrit(rho), _padded_qutrit(sigma)
+    for n in range(1, 6):
+        _assert_values_agree(
+            _oracle_values(rho, sigma, n), _oracle_values(rho3, sigma3, n), compare_flag=False
+        )
+
+
+@pytest.mark.parametrize("kind", CROSS_CHECK_KINDS)
+def test_qubit_blocks_match_dense_qubit_tensor_powers(kind, monkeypatch):
+    rho, sigma = _cross_check_pair(kind)
+    blocked = {n: _oracle_values(rho, sigma, n) for n in range(1, 8)}
+    monkeypatch.setattr(
+        exact_oracles,
+        "_block_pair",
+        lambda r, s, n, dim_cap: [(1, tensor_power(r.array, n).array, tensor_power(s.array, n).array)],
+    )
+    for n in range(1, 8):
+        _assert_values_agree(blocked[n], _oracle_values(rho, sigma, n), compare_flag=True)
+
+
+def test_qubit_blocks_carry_the_spectrum_of_the_tensor_power():
+    rho, sigma = qubit_pairs(308, 1)[0]
+    lam = np.linalg.eigvalsh(rho.array)
+    for n in range(1, 13):
+        blocks = exact_oracles._block_pair(rho, sigma, n, DIM_CAP)
+        assert len(blocks) == n // 2 + 1
+        assert sum(m * r.shape[0] for m, r, _ in blocks) == 2**n
+        assert math.fsum(m * float(np.trace(s).real) for m, _, s in blocks) == pytest.approx(1.0, abs=1e-12)
+        if n <= 8:
+            got = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(r), m) for m, r, _ in blocks]))
+            want = np.sort(tensor_power(np.diag(lam), n).array.diagonal().real)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
+def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():
+    # kappa p_0^n = q_0^n: the outcome 0...0 spans the kernel and lies in block k = 0 only
+    rho, sigma = DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
+    a = math.log(0.3 / 0.55)
+    for n in (2, 3, 4):
+        assert np_test_errors(rho, sigma, n, a).degenerate_kernel
+        assert not np_test_errors(rho, sigma, n, a + 0.05).degenerate_kernel
