@@ -67,6 +67,8 @@ def parse_state_file(path: str) -> DensityMatrix:
         raise ValidationError(
             f"state file {path}: matrix shape {raw.shape} does not match (dim, dim, 2) for dim={dim}"
         )
+    if not np.isfinite(raw).all():
+        raise ValidationError(f"state file {path}: matrix has a non-finite entry")
     mat = raw[..., 0] + 1j * raw[..., 1]
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_dev > 1e-9:

@@ -107,8 +107,8 @@ def psi_curve_from_probabilities(p, q) -> PsiCurve:
         log_ratios=_freeze(log_p - log_q),
         log_p=_freeze(log_p),
         log_q=_freeze(log_q),
-        trace_a=math.fsum(pa),
-        trace_b=math.fsum(qa),
+        trace_a=_fsum(pa),
+        trace_b=_fsum(qa),
         a_support_contained=True,
         b_support_contained=True,
     )
@@ -184,7 +184,7 @@ def relative_entropy(curve: PsiCurve) -> float:
     """D(A||B) = sum p (log p - log q) over the joint support; +inf without support containment."""
     if not curve.a_support_contained:
         return math.inf
-    return math.fsum(np.exp(curve.log_p) * curve.log_ratios)
+    return _fsum(np.exp(curve.log_p) * curve.log_ratios)
 
 
 def relative_entropy_variance(curve: PsiCurve) -> float:
@@ -318,7 +318,7 @@ def entropy_difference_bound(a: DensityMatrix, b: DensityMatrix) -> float:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim == 1:
         return 0.0
-    t_half = min(trace_norm(a.matrix - b.matrix) / 2.0, 1.0)
+    t_half = min(trace_norm(a.array - b.array) / 2.0, 1.0)
     bound = t_half * math.log(a.dim - 1) + binary_entropy(t_half)
     gap = abs(von_neumann_entropy(a) - von_neumann_entropy(b))
     if gap > bound + 1e-9:

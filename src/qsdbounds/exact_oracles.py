@@ -17,7 +17,6 @@ from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .linalg import (
     DIM_CAP,
     DensityMatrix,
-    HermitianMatrix,
     _eigvalsh,
     _fsum,
     matrix_power_support,
@@ -49,14 +48,16 @@ def _schur_weyl_blocks(state: DensityMatrix, n: int) -> list[np.ndarray]:
     Sym^m is built by the Clebsch-Gordan recursion
     Sym^m(A) = V_m^T (Sym^(m-1)(A) (x) A) V_m. det is the product of the
     eigenvalues clamped at 0, so rounding cannot make det^k of a pure state
-    negative for odd k.
+    negative for odd k. Each Sym^m is symmetrized once, so every block
+    and every real combination of blocks is exactly Hermitian.
     """
     a = state.array
     det = max(float(np.prod(_eigvalsh(a))), 0.0)
     sym = [np.ones((1, 1), dtype=np.complex128)]
     for m in range(1, n + 1):
         v = _sym_isometry(m)
-        sym.append(v.T @ np.kron(sym[-1], a) @ v)
+        s = v.T @ np.kron(sym[-1], a) @ v
+        sym.append((s + s.conj().T) / 2.0)
     return [det**k * sym[n - 2 * k] for k in range(n // 2 + 1)]
 
 
@@ -78,8 +79,7 @@ def _block_pair(
     if rho.dim**n > dim_cap:
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {dim_cap}")
     if rho.dim != 2:
-        rn = tensor_power(rho.matrix, n, dim_cap).array
-        return [(1, rn, tensor_power(sigma.matrix, n, dim_cap).array)]
+        return [(1, tensor_power(rho.array, n, dim_cap), tensor_power(sigma.array, n, dim_cap))]
     mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
     return list(zip(mults, _schur_weyl_blocks(rho, n), _schur_weyl_blocks(sigma, n)))
 
@@ -120,7 +120,7 @@ def np_test_errors(
     accepted_s: list[float] = []
     degenerate = False
     for m, r, s in blocks:
-        w, v = np.linalg.eigh(HermitianMatrix(kappa * r - s).array)
+        w, v = np.linalg.eigh(kappa * r - s)
         degenerate = degenerate or bool(np.any(np.abs(w) <= _KERNEL_TOL))
         cols = v[:, w > _KERNEL_TOL]
         accepted_r += (m * np.einsum("ij,ij->j", cols.conj(), r @ cols).real).tolist()
@@ -150,7 +150,7 @@ def beta_eps_exact(
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     blocks = _block_pair(rho, sigma, n, dim_cap)
-    support = matrix_power_support(sigma.spectral(), 0.0).array
+    support = matrix_power_support(sigma.spectral(), 0.0)
     if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
         return 0.0
 

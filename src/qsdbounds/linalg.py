@@ -1,16 +1,18 @@
 """Dense Hermitian linear algebra underlying the discrimination bounds.
 
-Provides an immutable Hermitian matrix type, eigendecomposition with
-eigenvalue grouping into distinct clusters, operator powers restricted to
-the support, tensor products with a hard dimension cap, and trace
-functionals (trace norm, trace of the positive part).
+Works on plain complex ndarrays: eigendecomposition with eigenvalue
+grouping into distinct clusters, each kept as an orthonormal block of
+eigenvectors, operator powers restricted to the support, tensor products
+with a hard dimension cap, and trace functionals (trace norm, trace of the
+positive part). DensityMatrix is the one place where outside input is
+validated and symmetrized; the functions here read the Hermitian arrays
+they are given without copying them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,178 +39,118 @@ def _fsum(values: np.ndarray) -> float:
     return math.fsum(chain.from_iterable(chunks))
 
 
-class HermitianMatrix:
-    """Immutable dense Hermitian matrix.
+@dataclass(frozen=True, eq=False)
+class SpectralDecomposition:
+    """Distinct eigenvalues in descending order, each with an orthonormal eigenvector block.
 
-    Entries are stored as complex128 and symmetrized at construction, so
-    entries[j][k] == conj(entries[k][j]) holds exactly afterwards.
+    vectors[i] is a read-only d x r_i matrix whose columns span the
+    eigenspace of eigenvalues[i]; together the blocks form a unitary.
+    Equality is identity: numpy arrays have no single truth value.
     """
 
-    __slots__ = ("array",)
-
-    array: np.ndarray
-
-    def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        h = (a + a.conj().T) / 2.0
-        h.flags.writeable = False
-        self.array = h
+    eigenvalues: tuple[float, ...]
+    vectors: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
-
-    def trace(self) -> float:
-        return _fsum(self.array.diagonal().real)
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.array + other.array)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.array - other.array)
-
-    def __mul__(self, scalar) -> "HermitianMatrix":
-        if not isinstance(scalar, Real):
-            return NotImplemented
-        return HermitianMatrix(self.array * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self.array)
-
-    @staticmethod
-    def zero(dim: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.zeros((dim, dim), dtype=np.complex128))
-
-    @staticmethod
-    def identity(dim: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.eye(dim, dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Distinct eigenvalues in descending order with orthogonal spectral projectors."""
-
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[HermitianMatrix, ...]
-    dim: int
+        return self.vectors[0].shape[0]
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(int(round(p.trace())) for p in self.projectors)
+        return tuple(v.shape[1] for v in self.vectors)
 
-    def reconstruct(self) -> HermitianMatrix:
-        acc = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            acc += lam * proj.array
-        return HermitianMatrix(acc)
-
-
-def _as_hermitian(h) -> HermitianMatrix:
-    if isinstance(h, HermitianMatrix):
-        return h
-    inner = getattr(h, "matrix", None)
-    if isinstance(inner, HermitianMatrix):
-        return inner
-    return HermitianMatrix(h)
+    def reconstruct(self) -> np.ndarray:
+        cols = np.hstack(self.vectors)
+        return (cols * np.repeat(self.eigenvalues, self.ranks())) @ cols.conj().T
 
 
 def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     # exact-diagonal fast path: tensor powers of diagonal matrices stay diagonal
-    if not np.any(arr - np.diag(arr.diagonal())):
+    if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
         return np.sort(arr.diagonal().real)
     return np.linalg.eigvalsh(arr)
 
 
-def eigh(h, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
-    """Eigendecomposition with eigenvalues grouped into distinct clusters.
+def eigh(h: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian array with eigenvalues grouped into distinct clusters.
 
-    Raw eigenvalues whose consecutive gap is at most group_tol * max(1, ||H||)
-    are merged into one cluster; the cluster eigenvalue is their mean and the
-    cluster projector spans the corresponding eigenvectors. The projectors
-    form a partition of the identity.
+    Only the lower triangle of h is read. Raw eigenvalues whose consecutive
+    gap is at most group_tol * max(1, ||H||) are merged into one cluster;
+    the cluster eigenvalue is their mean and its block holds the
+    corresponding eigenvectors.
     """
-    m = _as_hermitian(h)
     try:
-        w, v = np.linalg.eigh(m.array)
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    scale = max(1.0, float(np.max(np.abs(w))))
-    tol = group_tol * scale
-    groups: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = []
-    projectors = []
-    for g in reversed(groups):
-        cols = v[:, g]
-        proj = cols @ cols.conj().T
-        eigenvalues.append(float(np.mean(w[g])))
-        projectors.append(HermitianMatrix(proj))
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors), m.dim)
+    v.flags.writeable = False
+    tol = group_tol * max(1.0, float(np.max(np.abs(w))))
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
+    clusters = list(zip(edges[:-1], edges[1:]))[::-1]
+    return SpectralDecomposition(
+        eigenvalues=tuple(float(np.mean(w[lo:hi])) for lo, hi in clusters),
+        vectors=tuple(v[:, lo:hi] for lo, hi in clusters),
+    )
+
+
+def _support_size(dec: SpectralDecomposition, support_cutoff: float) -> int:
+    """Number of leading clusters with a positive eigenvalue above support_cutoff times the largest."""
+    cutoff = support_cutoff * max(dec.eigenvalues[0], 0.0)
+    return sum(1 for v in dec.eigenvalues if v > cutoff and v > 0.0)
 
 
 def matrix_power_support(
     dec: SpectralDecomposition, t: float, support_cutoff: float = SUPPORT_CUTOFF
-) -> HermitianMatrix:
-    """X^t computed on the support of X: sum of lam^t P over eigenvalues above cutoff.
+) -> np.ndarray:
+    """X^t computed on the support of X: sum of lam^t V V^H over eigenvalues above cutoff.
 
     Eigenvalues below support_cutoff relative to the largest are treated as
     zero, so t = 0 yields the support projection. Negative eigenvalues beyond
     the same tolerance are rejected.
     """
     lam = np.asarray(dec.eigenvalues, dtype=np.float64)
-    lam_max = float(lam.max())
-    neg_tol = support_cutoff * max(1.0, abs(lam_max))
-    if float(lam.min()) < -neg_tol:
+    neg_tol = support_cutoff * max(1.0, abs(float(lam[0])))
+    if float(lam[-1]) < -neg_tol:
         raise ValidationError(
             f"matrix_power_support needs a positive semidefinite input; "
-            f"smallest eigenvalue {float(lam.min())!r}"
+            f"smallest eigenvalue {float(lam[-1])!r}"
         )
-    cutoff = support_cutoff * max(lam_max, 0.0)
-    acc = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for value, proj in zip(dec.eigenvalues, dec.projectors):
-        if value > cutoff and value > 0.0:
-            acc += value**t * proj.array
-    return HermitianMatrix(acc)
+    k = _support_size(dec, support_cutoff)
+    if k == 0:
+        return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
+    cols = np.hstack(dec.vectors[:k])
+    return (cols * np.repeat(lam[:k] ** t, dec.ranks()[:k])) @ cols.conj().T
 
 
-def kron(a, b, dim_cap: int = DIM_CAP) -> HermitianMatrix:
+def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
     """Tensor product with a hard output-dimension cap."""
-    ah, bh = _as_hermitian(a), _as_hermitian(b)
-    out_dim = ah.dim * bh.dim
+    a, b = np.asarray(a), np.asarray(b)
+    out_dim = a.shape[0] * b.shape[0]
     if out_dim > dim_cap:
         raise ResourceLimitError(f"tensor product dimension {out_dim} exceeds cap {dim_cap}")
-    return HermitianMatrix(np.kron(ah.array, bh.array))
+    return np.kron(a, b)
 
 
-def tensor_power(a, n: int, dim_cap: int = DIM_CAP) -> HermitianMatrix:
+def tensor_power(a: np.ndarray, n: int, dim_cap: int = DIM_CAP) -> np.ndarray:
     """n-fold tensor power, n >= 1, subject to the dimension cap."""
-    ah = _as_hermitian(a)
+    a = np.asarray(a)
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
-    if ah.dim**n > dim_cap:
-        raise ResourceLimitError(f"tensor power dimension {ah.dim}^{n} exceeds cap {dim_cap}")
-    out = ah
+    if a.shape[0] ** n > dim_cap:
+        raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {dim_cap}")
+    out = a
     for _ in range(n - 1):
-        out = kron(out, ah, dim_cap)
+        out = kron(out, a, dim_cap)
     return out
 
 
-def trace_norm(h) -> float:
-    """Trace norm ||H||_1; for Hermitian H this is the sum of |eigenvalues|."""
-    w = _eigvalsh(_as_hermitian(h).array)
-    return _fsum(np.abs(w))
+def trace_norm(h: np.ndarray) -> float:
+    """Trace norm ||H||_1 of a Hermitian array: the sum of |eigenvalues|."""
+    return _fsum(np.abs(_eigvalsh(h)))
 
 
-def positive_part_trace(h) -> float:
-    """Tr (H)_+ , the sum of positive eigenvalues."""
-    w = _eigvalsh(_as_hermitian(h).array)
+def positive_part_trace(h: np.ndarray) -> float:
+    """Tr (H)_+ of a Hermitian array: the sum of its positive eigenvalues."""
+    w = _eigvalsh(h)
     return _fsum(w[w > 0.0])
 
 
@@ -221,54 +163,62 @@ def support_overlap_table(
     """Joint-support table of two PSD decompositions.
 
     Rows (i, j, a_i, b_j, Tr P_i Q_j) run over pairs of positive eigenvalues
-    whose projector overlap exceeds weight_cutoff.
+    whose projector overlap exceeds weight_cutoff, i ascending, then j.
+    Tr P_i Q_j = ||V_i^H W_j||_F^2 is a block sum of the one product |V^H W|^2
+    of the stacked support eigenvectors.
     """
     if a_dec.dim != b_dec.dim:
         raise ValidationError(f"dimension mismatch: {a_dec.dim} vs {b_dec.dim}")
-
-    def positive_indices(dec: SpectralDecomposition) -> list[int]:
-        lam_max = max(dec.eigenvalues)
-        cutoff = support_cutoff * max(lam_max, 0.0)
-        return [i for i, v in enumerate(dec.eigenvalues) if v > cutoff and v > 0.0]
-
-    rows = []
-    for i in positive_indices(a_dec):
-        p_i = a_dec.projectors[i].array
-        for j in positive_indices(b_dec):
-            q_j = b_dec.projectors[j].array
-            w = float(np.einsum("jk,kj->", p_i, q_j).real)
-            if w > weight_cutoff:
-                rows.append((i, j, a_dec.eigenvalues[i], b_dec.eigenvalues[j], w))
-    return rows
+    ka, kb = _support_size(a_dec, support_cutoff), _support_size(b_dec, support_cutoff)
+    if ka == 0 or kb == 0:
+        return []
+    overlap = np.hstack(a_dec.vectors[:ka]).conj().T @ np.hstack(b_dec.vectors[:kb])
+    squares = overlap.real**2 + overlap.imag**2
+    starts_a = np.cumsum((0,) + a_dec.ranks()[: ka - 1])
+    starts_b = np.cumsum((0,) + b_dec.ranks()[: kb - 1])
+    weights = np.add.reduceat(np.add.reduceat(squares, starts_a, axis=0), starts_b, axis=1)
+    rows_i, rows_j = np.nonzero(weights > weight_cutoff)
+    return [
+        (i, j, a_dec.eigenvalues[i], b_dec.eigenvalues[j], float(weights[i, j]))
+        for i, j in zip(rows_i.tolist(), rows_j.tolist())
+    ]
 
 
 class DensityMatrix:
-    """State: Hermitian, positive semidefinite within 1e-12, unit trace within 1e-10."""
+    """State: Hermitian, positive semidefinite within 1e-12, unit trace within 1e-10.
 
-    __slots__ = ("matrix",)
+    The one place where outside input is validated: entries must be finite
+    and form a square matrix, which is stored symmetrized, (M + M^H) / 2, as
+    a read-only complex128 array, so array[j, k] == conj(array[k, j]) holds
+    exactly afterwards.
+    """
 
-    matrix: HermitianMatrix
+    __slots__ = ("array",)
+
+    array: np.ndarray
 
     def __init__(self, matrix) -> None:
-        m = _as_hermitian(matrix)
-        tr = m.trace()
+        a = np.array(matrix, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValidationError("state has a non-finite entry")
+        h = (a + a.conj().T) / 2.0
+        tr = _fsum(h.diagonal().real)
         if abs(tr - 1.0) > 1e-10:
             raise ValidationError(f"state trace must be 1 within 1e-10, got {tr!r}")
-        w = _eigvalsh(m.array)
+        w = _eigvalsh(h)
         if float(w.min()) < -1e-12 * max(1.0, float(w.max())):
             raise ValidationError(f"state has a negative eigenvalue: {float(w.min())!r}")
-        self.matrix = m
+        h.flags.writeable = False
+        self.array = h
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
+        return self.array.shape[0]
 
     def spectral(self, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
-        return eigh(self.matrix, group_tol)
+        return eigh(self.array, group_tol)
 
     @staticmethod
     def pure(amplitudes: Sequence[complex]) -> "DensityMatrix":

@@ -23,7 +23,7 @@ from scipy.special import gammaln
 
 from .divergences import PsiCurve, _logsumexp, psi_curve_from_probabilities
 from .errors import ResourceLimitError, ValidationError
-from .linalg import SpectralDecomposition, support_overlap_table
+from .linalg import SpectralDecomposition, _fsum, support_overlap_table
 
 MAX_TYPES = 2_000_000
 
@@ -146,9 +146,9 @@ def halfspace_type_approximation(
     v_arr = np.asarray(v, dtype=np.float64)
     if mu_arr.shape != v_arr.shape or mu_arr.ndim != 1 or mu_arr.size == 0:
         raise ValidationError("mu and v must be nonempty vectors of equal length")
-    if np.any(mu_arr < 0.0) or abs(math.fsum(mu_arr) - 1.0) > 1e-9:
+    if np.any(mu_arr < 0.0) or abs(_fsum(mu_arr) - 1.0) > 1e-9:
         raise ValidationError("mu must be a probability vector")
-    if abs(math.fsum(mu_arr * v_arr) - c) > 1e-9:
+    if abs(_fsum(mu_arr * v_arr) - c) > 1e-9:
         raise ValidationError("mu must satisfy <mu, v> = c within 1e-9")
     if not (float(v_arr.min()) < c < float(v_arr.max())):
         raise ValidationError("both open half-spaces must intersect the simplex")
@@ -163,7 +163,7 @@ def halfspace_type_approximation(
         counts = base.copy()
         counts[target_idx] += n - int(base.sum())
         for _ in range(n + 1):
-            inner = math.fsum(counts * v_arr) / n
+            inner = _fsum(counts * v_arr) / n
             if (inner < c) if want_below else (inner > c):
                 break
             movable = [
@@ -182,7 +182,7 @@ def halfspace_type_approximation(
             counts[target_idx] += 1
         else:
             raise ValidationError("cannot reach the open half-space by unit mass shifts")
-        dist = math.fsum(np.abs(mu_arr - counts / n))
+        dist = _fsum(np.abs(mu_arr - counts / n))
         if dist > budget:
             raise ValidationError(
                 f"rounded type at l1 distance {dist!r} exceeds the budget {budget!r}"

@@ -216,8 +216,8 @@ def test_criterion_7_np_test_optimality():
     for rho, sigma in qubit_pairs(718, 3):
         for n in range(1, 7):
             dim = 2**n
-            rho_n = tensor_power(rho, n).array
-            sig_n = tensor_power(sigma, n).array
+            rho_n = tensor_power(rho.array, n)
+            sig_n = tensor_power(sigma.array, n)
             for a in (0.0, 0.15):
                 e_star = quantum_mixed_error_exact(rho, sigma, n, a)
                 w = math.exp(-n * a)

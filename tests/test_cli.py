@@ -7,7 +7,7 @@ import pytest
 from qsdbounds import BinaryPair, DensityMatrix, rate_curve, rate_curve_csv
 from qsdbounds.cli import main, parse_state_file
 
-from helpers import state_to_json_dict
+from helpers import random_full_rank_state, state_to_json_dict
 
 RHO = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
 SIG = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
@@ -193,6 +193,31 @@ def test_exit_code_negative_eigenvalue(tmp_path):
     bad.write_text(json.dumps({"dim": 2, "matrix": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}))
     code = main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_exit_code_non_finite_entry(tmp_path, capsys, token):
+    # Python's json reads NaN and Infinity; such a state is invalid input, not a crash
+    diagonal = '[[[%s, 0], [0, 0]], [[0, 0], [%s, 0]]]' % (token, token)
+    off_diagonal = '[[[0.5, 0], [%s, 0]], [[%s, 0], [0.5, 0]]]' % (token, token)
+    for matrix in (diagonal, off_diagonal):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "matrix": %s}' % matrix)
+        code = main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[")
+
+
+def test_divergences_runs_on_a_128_dim_state_pair(tmp_path):
+    rng = np.random.default_rng(128)
+    rho_f = write_state(tmp_path / "rho.json", random_full_rank_state(rng, 128, min_eval=1e-3))
+    sig_f = write_state(tmp_path / "sig.json", random_full_rank_state(rng, 128, min_eval=1e-3))
+    out = tmp_path / "out"
+    assert main(["divergences", "--rho", rho_f, "--sigma", sig_f, "--out", str(out)]) == 0
+    profile = json.loads((out / "divergences.json").read_text())
+    assert 0.0 < profile["chernoff"] <= profile["relative_entropy"] < math.inf
+    assert 0.0 < profile["chernoff_argmin_t"] < 1.0
+    assert len((out / "psi_curve.csv").read_text().splitlines()) == 102
 
 
 def test_exit_code_resource_cap(tmp_path, pair_files, capsys):

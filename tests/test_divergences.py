@@ -98,11 +98,40 @@ def test_psi_convex_on_grid():
 def test_psi_multiplicative_under_tensor_power():
     rho, sig = qubit_pairs(102, 1)[0]
     single = build_psi(rho.spectral(), sig.spectral())
-    rho2 = DensityMatrix(tensor_power(rho.array, 2).array)
-    sig2 = DensityMatrix(tensor_power(sig.array, 2).array)
+    rho2 = DensityMatrix(tensor_power(rho.array, 2))
+    sig2 = DensityMatrix(tensor_power(sig.array, 2))
     double = build_psi(rho2.spectral(), sig2.spectral())
     for t in np.linspace(0.0, 1.0, 11):
         assert psi(double, float(t)) == pytest.approx(2.0 * psi(single, float(t)), abs=1e-9)
+
+
+def test_psi_at_dimension_64_matches_the_operator_trace():
+    rng = np.random.default_rng(64)
+    rho = random_full_rank_state(rng, 64, min_eval=1e-3)
+    sig = random_full_rank_state(rng, 64, min_eval=1e-3)
+    curve = build_psi(rho.spectral(), sig.spectral())
+    la, ua = np.linalg.eigh(rho.array)
+    lb, ub = np.linalg.eigh(sig.array)
+    for t in (0.25, 0.5, 0.75):
+        a_t = (ua * la**t) @ ua.conj().T
+        b_rest = (ub * lb ** (1.0 - t)) @ ub.conj().T
+        want = math.log(float(np.einsum("ij,ji->", a_t, b_rest).real))
+        assert psi(curve, t) == pytest.approx(want, rel=1e-10)
+
+
+def test_array_sums_are_bit_identical_to_math_fsum():
+    # fsum is exactly rounded: feeding it Python floats may not change any result
+    rng = np.random.default_rng(103)
+    pairs = qubit_pairs(103, 4) + [
+        (random_full_rank_state(rng, 3), random_full_rank_state(rng, 3)) for _ in range(2)
+    ]
+    for rho, sig in pairs:
+        curve = build_psi(rho.spectral(), sig.spectral())
+        assert relative_entropy(curve) == math.fsum(np.exp(curve.log_p) * curve.log_ratios)
+        p, q = np.exp(curve.log_p), np.exp(curve.log_q)
+        classical = psi_curve_from_probabilities(p, q)
+        assert classical.trace_a == math.fsum(p)
+        assert classical.trace_b == math.fsum(q)
 
 
 def test_renyi_values_and_support_rules():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsdbounds import DensityMatrix, HermitianMatrix, ResourceLimitError, ValidationError
+from qsdbounds import DensityMatrix, ResourceLimitError, ValidationError
 from qsdbounds.linalg import (
     eigh,
     kron,
@@ -21,77 +21,83 @@ ZERO = np.array([[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_hermitian_symmetrizes_and_is_immutable():
-    h = HermitianMatrix(np.array([[1.0, 1.0 + 1e-13j], [1.0 - 1e-13j, 2.0]]))
-    assert np.allclose(h.array, h.array.conj().T)
+    state = DensityMatrix(np.array([[0.4, 0.1 + 1e-13j], [0.1 - 2e-13j, 0.6]]))
+    assert np.array_equal(state.array, state.array.conj().T)
     with pytest.raises(ValueError):
-        h.array[0, 0] = 5.0
+        state.array[0, 0] = 5.0
 
 
 def test_hermitian_symmetrizes_asymmetric_input():
-    h = HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(h.array, np.array([[0.0, 0.5], [0.5, 0.0]]))
+    state = DensityMatrix(np.array([[0.5, 0.2], [0.0, 0.5]]))
+    assert np.allclose(state.array, np.array([[0.5, 0.1], [0.1, 0.5]]))
 
 
-def test_hermitian_trace_and_arithmetic():
-    a = HermitianMatrix(np.diag([1.0, 2.0]))
-    b = HermitianMatrix(np.diag([3.0, -1.0]))
-    assert (a + b).trace() == pytest.approx(5.0, abs=1e-14)
-    assert (a - b).trace() == pytest.approx(1.0, abs=1e-14)
-    assert (2.0 * a).trace() == pytest.approx(6.0, abs=1e-14)
-    assert (-a).trace() == pytest.approx(-3.0, abs=1e-14)
+def test_density_matrix_rejects_non_square_and_empty_input():
+    for bad in (np.full((2, 3), 1.0 / 3.0), np.ones(2) / 2.0, np.zeros((0, 0))):
+        with pytest.raises(ValidationError):
+            DensityMatrix(bad)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, complex(0.0, math.nan)))
+def test_density_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityMatrix([[bad, 0.0], [0.0, bad]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityMatrix([[0.5, bad], [0.0, 0.5]])
 
 
 def test_eigh_groups_degenerate_eigenvalues():
-    dec = eigh(HermitianMatrix(np.diag([3.0, 1.0, 1.0])))
+    dec = eigh((np.diag([3.0, 1.0, 1.0])))
     assert np.allclose(dec.eigenvalues, [3.0, 1.0])
     assert dec.ranks() == (1, 2)
 
 
 def test_eigh_identity_single_group():
-    dec = eigh(HermitianMatrix(np.eye(4)))
+    dec = eigh((np.eye(4)))
     assert list(dec.eigenvalues) == [1.0]
-    assert np.allclose(dec.projectors[0].array, np.eye(4))
+    assert dec.ranks() == (4,)
+    assert np.allclose(dec.vectors[0] @ dec.vectors[0].conj().T, np.eye(4))
 
 
 def test_eigh_reconstruction_and_orthogonality():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = HermitianMatrix((z + z.conj().T) / 2.0)
+    h = (z + z.conj().T) / 2.0
     dec = eigh(h)
-    assert np.max(np.abs(dec.reconstruct().array - h.array)) < 1e-10
-    total = sum(p.array for p in dec.projectors)
-    assert np.max(np.abs(total - np.eye(6))) < 1e-10
-    for j, pj in enumerate(dec.projectors):
-        for k, pk in enumerate(dec.projectors):
+    assert np.max(np.abs(dec.reconstruct() - h)) < 1e-10
+    proj = [v @ v.conj().T for v in dec.vectors]
+    assert np.max(np.abs(sum(proj) - np.eye(6))) < 1e-10
+    for j, pj in enumerate(proj):
+        for k, pk in enumerate(proj):
             if j != k:
-                assert np.max(np.abs(pj.array @ pk.array)) < 1e-10
+                assert np.max(np.abs(pj @ pk)) < 1e-10
 
 
 def test_eigh_descending_order():
-    dec = eigh(HermitianMatrix(np.diag([-1.0, 5.0, 2.0])))
+    dec = eigh((np.diag([-1.0, 5.0, 2.0])))
     assert list(dec.eigenvalues) == sorted(dec.eigenvalues, reverse=True)
 
 
 def test_matrix_power_support_diagonal_sqrt():
-    dec = eigh(HermitianMatrix(np.diag([4.0, 0.0])))
+    dec = eigh((np.diag([4.0, 0.0])))
     out = matrix_power_support(dec, 0.5)
-    assert np.allclose(out.array, np.diag([2.0, 0.0]), atol=1e-12)
+    assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
 
 def test_matrix_power_support_zero_power_is_support_projection():
-    dec = eigh(HermitianMatrix(np.diag([0.5, 0.5])))
-    assert np.allclose(matrix_power_support(dec, 0.0).array, np.eye(2), atol=1e-12)
-    rank1 = eigh(HermitianMatrix(np.diag([0.7, 0.0])))
-    assert np.allclose(matrix_power_support(rank1, 0.0).array, np.diag([1.0, 0.0]), atol=1e-12)
+    dec = eigh((np.diag([0.5, 0.5])))
+    assert np.allclose(matrix_power_support(dec, 0.0), np.eye(2), atol=1e-12)
+    rank1 = eigh((np.diag([0.7, 0.0])))
+    assert np.allclose(matrix_power_support(rank1, 0.0), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_matrix_power_support_projector_idempotent():
-    dec = eigh(HermitianMatrix(PLUS))
-    assert np.max(np.abs(matrix_power_support(dec, 3.0).array - PLUS)) < 1e-12
+    dec = eigh((PLUS))
+    assert np.max(np.abs(matrix_power_support(dec, 3.0) - PLUS)) < 1e-12
 
 
 def test_matrix_power_support_rejects_negative():
-    dec = eigh(HermitianMatrix(np.diag([1.0, -0.5])))
+    dec = eigh((np.diag([1.0, -0.5])))
     with pytest.raises(ValidationError):
         matrix_power_support(dec, 0.5)
 
@@ -100,21 +106,21 @@ def test_matrix_power_one_restricts_to_support():
     rng = np.random.default_rng(11)
     state = random_full_rank_state(rng, 3)
     dec = state.spectral()
-    assert np.max(np.abs(matrix_power_support(dec, 1.0).array - state.array)) < 1e-10
+    assert np.max(np.abs(matrix_power_support(dec, 1.0) - state.array)) < 1e-10
 
 
 def test_kron_identities_and_diagonal():
-    assert np.allclose(kron(np.eye(2), np.eye(2)).array, np.eye(4))
+    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
     out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(out.array, np.diag([3.0, 4.0, 6.0, 8.0]))
+    assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
 def test_tensor_power_dim_and_trace():
     rng = np.random.default_rng(3)
     state = random_full_rank_state(rng, 2)
     cubed = tensor_power(state.array, 3)
-    assert cubed.dim == 8
-    assert cubed.trace() == pytest.approx(1.0, abs=1e-12)
+    assert cubed.shape == (8, 8)
+    assert np.trace(cubed).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tensor_power_cap():
@@ -175,8 +181,8 @@ def test_density_matrix_constructors():
 
 def test_support_overlap_table_commuting():
     # indices follow the descending spectral order, not matrix positions
-    a = eigh(HermitianMatrix(np.diag([0.9, 0.1])))
-    b = eigh(HermitianMatrix(np.diag([0.4, 0.6])))
+    a = eigh((np.diag([0.9, 0.1])))
+    b = eigh((np.diag([0.4, 0.6])))
     rows = support_overlap_table(a, b)
     masses = sorted((ai, bj) for _, _, ai, bj, w in rows if w > 0.5)
     assert len(rows) == 2
@@ -185,8 +191,8 @@ def test_support_overlap_table_commuting():
 
 
 def test_support_overlap_table_pure_states():
-    a = eigh(HermitianMatrix(ZERO))
-    b = eigh(HermitianMatrix(PLUS))
+    a = eigh((ZERO))
+    b = eigh((PLUS))
     rows = support_overlap_table(a, b)
     assert len(rows) == 1
     i, j, ai, bj, w = rows[0]
@@ -199,6 +205,6 @@ def test_eigh_agrees_between_diagonal_and_rotated_paths():
     rng = np.random.default_rng(13)
     evals = np.array([0.5, 0.3, 0.2])
     u = random_unitary(rng, 3)
-    rotated = eigh(HermitianMatrix((u * evals) @ u.conj().T))
-    plain = eigh(HermitianMatrix(np.diag(evals)))
+    rotated = eigh(((u * evals) @ u.conj().T))
+    plain = eigh((np.diag(evals)))
     assert np.allclose(rotated.eigenvalues, plain.eigenvalues, atol=1e-12)

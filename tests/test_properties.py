@@ -1,0 +1,119 @@
+"""Property tests of the spectral layer on qubit and qutrit state pairs.
+
+States are full-rank, rank-deficient, pure, diagonal (two diagonal states
+commute), or carry two eigenvalues planted just below or just above the
+eigenvalue grouping tolerance.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsdbounds import DensityMatrix, build_psi, psi
+from qsdbounds.linalg import DEFAULT_GROUP_TOL, eigh, support_overlap_table
+
+from helpers import random_unitary
+
+KINDS = ("full_rank", "rank_deficient", "pure", "diagonal", "gap_below_tol", "gap_above_tol")
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _eigenvalues(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
+    if kind in ("full_rank", "diagonal"):
+        return 0.05 + (1.0 - 0.05 * d) * rng.dirichlet(np.ones(d))
+    if kind == "rank_deficient":
+        return np.concatenate((rng.dirichlet(np.ones(d - 1)), [0.0]))
+    if kind == "pure":
+        return np.eye(d)[0]
+    gap = (0.4 if kind == "gap_below_tol" else 4.0) * DEFAULT_GROUP_TOL
+    pair = 1.0 if d == 2 else 0.7
+    return np.concatenate(([pair / 2 + gap / 2, pair / 2 - gap / 2], [1.0 - pair] * (d - 2)))
+
+
+def _state(seed: int, d: int, kind: str) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    evals = _eigenvalues(rng, d, kind)
+    if kind == "diagonal":
+        return DensityMatrix.diagonal(evals)
+    u = random_unitary(rng, d)
+    return DensityMatrix((u * evals) @ u.conj().T)
+
+
+def _states(dims):
+    return st.builds(_state, st.integers(0, 2**32 - 1), dims, st.sampled_from(KINDS))
+
+
+states = _states(st.sampled_from((2, 3)))
+pairs = st.sampled_from((2, 3)).flatmap(lambda d: st.tuples(_states(st.just(d)), _states(st.just(d))))
+
+
+def _support_projector(state: DensityMatrix) -> np.ndarray:
+    w, v = np.linalg.eigh(state.array)
+    cols = v[:, w > 1e-12 * w.max()]
+    return cols @ cols.conj().T
+
+
+def _clustering_shift(state: DensityMatrix) -> float:
+    """How far eigh moves the state by merging eigenvalues into their cluster mean (operator norm)."""
+    return float(np.linalg.norm(state.spectral().reconstruct() - state.array, 2))
+
+
+@PROPERTY_SETTINGS
+@given(states)
+def test_eigh_blocks_are_orthonormal_and_reconstruct_the_state(state):
+    dec = eigh(state.array)
+    d = state.dim
+    assert sum(dec.ranks()) == d
+    assert all(v.shape == (d, r) for v, r in zip(dec.vectors, dec.ranks()))
+    cols = np.hstack(dec.vectors)
+    assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) < 1e-12
+    # merging a cluster moves each member eigenvalue to the mean, by less than the tolerance
+    assert np.max(np.abs(dec.reconstruct() - state.array)) < DEFAULT_GROUP_TOL
+    gaps = -np.diff(dec.eigenvalues)
+    assert np.all(gaps > DEFAULT_GROUP_TOL)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)))
+def test_eigh_merges_exactly_the_planted_gaps_below_the_tolerance(seed, d):
+    below = eigh(_state(seed, d, "gap_below_tol").array)
+    above = eigh(_state(seed, d, "gap_above_tol").array)
+    assert max(below.ranks()) == 2
+    assert max(above.ranks()) == 1
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_overlap_weights_sum_to_the_cluster_rank_against_a_full_rank_state(pair):
+    rho, sigma = pair
+    a_dec = rho.spectral()
+    full = sigma.spectral()
+    rows = support_overlap_table(a_dec, full)
+    assert [(i, j) for i, j, *_ in rows] == sorted((i, j) for i, j, *_ in rows)
+    if min(full.eigenvalues) > 1e-12:
+        totals = {}
+        for i, _, _, _, w in rows:
+            totals[i] = totals.get(i, 0.0) + w
+        lam = a_dec.eigenvalues
+        assert set(totals) == {i for i, v in enumerate(lam) if v > 1e-12 * lam[0]}
+        for i, total in totals.items():
+            assert math.isclose(total, a_dec.ranks()[i], abs_tol=1e-11)
+    for i, j, a_i, b_j, w in rows:
+        assert a_i == a_dec.eigenvalues[i] and b_j == full.eigenvalues[j]
+        assert 1e-12 < w <= min(a_dec.ranks()[i], full.ranks()[j]) + 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_psi_at_zero_and_one_are_log_traces_on_the_joint_support(pair):
+    rho, sigma = pair
+    curve = build_psi(rho.spectral(), sigma.spectral())
+    overlap_0 = float(np.einsum("ij,ji->", _support_projector(rho), sigma.array).real)
+    overlap_1 = float(np.einsum("ij,ji->", rho.array, _support_projector(sigma)).real)
+    # psi sees the clustered states: |Tr P (B' - B)| <= rank(P) ||B' - B||
+    slack = 1e-11 + rho.dim * (_clustering_shift(rho) + _clustering_shift(sigma))
+    assert math.isclose(math.exp(psi(curve, 0.0)), overlap_0, rel_tol=1e-10, abs_tol=slack)
+    assert math.isclose(math.exp(psi(curve, 1.0)), overlap_1, rel_tol=1e-10, abs_tol=slack)
+    assert math.isclose(curve.trace_a, 1.0, abs_tol=1e-12)
+    assert math.isclose(curve.trace_b, 1.0, abs_tol=1e-12)
