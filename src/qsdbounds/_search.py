@@ -38,36 +38,6 @@ def golden_max(
     return x, f(x)
 
 
-def grid_golden_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_points: int = 201,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Coarse grid scan followed by golden-section refinement around the best cell.
-
-    Suited to concave objectives; the grid guards against premature brackets and
-    the leftmost grid maximizer is preferred on ties.
-    """
-    step = (hi - lo) / (grid_points - 1)
-    best_i = 0
-    best_v = -math.inf
-    vals = []
-    for i in range(grid_points):
-        v = f(lo + i * step)
-        vals.append(v)
-        if v > best_v:
-            best_v = v
-            best_i = i
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, grid_points - 1) * step
-    x, fx = golden_max(f, a, b, tol)
-    if fx > best_v:
-        return x, fx
-    return lo + best_i * step, best_v
-
-
 def bisect_decreasing(
     g: Callable[[float], float], lo: float, hi: float, target: float, tol: float = 1e-12
 ) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_decreasing, golden_max, grid_golden_max
-from .errors import ConvergenceError, DegeneracyError, QsdError, ValidationError
+from ._search import bisect_decreasing
+from .errors import DegeneracyError, QsdError, ValidationError
 from .linalg import (
     DensityMatrix,
     SpectralDecomposition,
@@ -37,19 +37,16 @@ _BOUNDARY_TOL = 1e-13
 class PsiCurve:
     """Joint-support data defining psi(t) for one operator pair.
 
-    support_weights[k] = Tr P_i Q_j for the k-th retained pair, log_ratios[k]
-    = log a_i - log b_j, and log_p / log_q are the logs of the weighted
-    measures. Empty arrays mean orthogonal supports (psi = -inf everywhere).
+    For the k-th retained pair (i, j), log_ratios[k] = log a_i - log b_j,
+    and log_p / log_q are the logs of the weighted measures a_i Tr P_i Q_j and
+    b_j Tr P_i Q_j. Empty arrays mean orthogonal supports (psi = -inf
+    everywhere).
     """
 
-    support_weights: np.ndarray
     log_ratios: np.ndarray
     log_p: np.ndarray
     log_q: np.ndarray
-    trace_a: float
-    trace_b: float
     a_support_contained: bool
-    b_support_contained: bool
 
     @property
     def size(self) -> int:
@@ -73,22 +70,16 @@ def build_psi(
     """PsiCurve of a pair of PSD operators given by spectral decompositions."""
     rows = support_overlap_table(a_dec, b_dec, weight_cutoff)
     trace_a = math.fsum(v * r for v, r in zip(a_dec.eigenvalues, a_dec.ranks()))
-    trace_b = math.fsum(v * r for v, r in zip(b_dec.eigenvalues, b_dec.ranks()))
     weights = np.array([w for (_, _, _, _, w) in rows], dtype=np.float64)
     log_a = np.array([math.log(a) for (_, _, a, _, _) in rows], dtype=np.float64)
     log_b = np.array([math.log(b) for (_, _, _, b, _) in rows], dtype=np.float64)
     log_w = np.log(weights) if weights.size else weights
     sum_p = math.fsum(a * w for (_, _, a, _, w) in rows)
-    sum_q = math.fsum(b * w for (_, _, _, b, w) in rows)
     return PsiCurve(
-        support_weights=_freeze(weights),
         log_ratios=_freeze(log_a - log_b),
         log_p=_freeze(log_a + log_w),
         log_q=_freeze(log_b + log_w),
-        trace_a=trace_a,
-        trace_b=trace_b,
         a_support_contained=sum_p >= trace_a - _CONTAINMENT_TOL * max(1.0, trace_a),
-        b_support_contained=sum_q >= trace_b - _CONTAINMENT_TOL * max(1.0, trace_b),
     )
 
 
@@ -103,14 +94,10 @@ def psi_curve_from_probabilities(p, q) -> PsiCurve:
     log_p = np.log(pa)
     log_q = np.log(qa)
     return PsiCurve(
-        support_weights=_freeze(np.ones_like(pa)),
         log_ratios=_freeze(log_p - log_q),
         log_p=_freeze(log_p),
         log_q=_freeze(log_q),
-        trace_a=_fsum(pa),
-        trace_b=_fsum(qa),
         a_support_contained=True,
-        b_support_contained=True,
     )
 
 
@@ -194,20 +181,39 @@ def relative_entropy_variance(curve: PsiCurve) -> float:
     return psi_second(curve, 1.0)
 
 
+def _conjugate_point(curve: PsiCurve, a: float) -> float:
+    """Leftmost maximizer over [0, 1] of a t - psi(t).
+
+    psi is convex, so psi' is nondecreasing: the maximizer is 0 when
+    psi'(0) >= a, 1 when psi'(1) <= a, and otherwise the root of psi'(t) = a.
+    """
+    if psi_prime(curve, 0.0) >= a:
+        return 0.0
+    if psi_prime(curve, 1.0) <= a:
+        return 1.0
+    return bisect_decreasing(lambda t: -psi_prime(curve, t), 0.0, 1.0, -a)
+
+
 def chernoff_distance(curve: PsiCurve) -> tuple[float, float]:
     """(-min over [0,1] of psi, leftmost argmin). Orthogonal supports give +inf."""
     if curve.orthogonal_supports:
         return math.inf, 0.0
-    t_star, value = grid_golden_max(lambda t: -psi(curve, t), 0.0, 1.0)
-    return value, t_star
+    t_star = _conjugate_point(curve, 0.0)
+    return -psi(curve, t_star), t_star
+
+
+def _hoeffding_at(curve: PsiCurve, r: float, t: float) -> float:
+    """Hoeffding objective (-t r - psi(t)) / (1 - t); equals H_r at t = t_r."""
+    return (-t * r - psi(curve, t)) / (1.0 - t)
 
 
 def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     """H_r = sup over 0 <= t < 1 of (-t r - psi(t)) / (1 - t) for r >= 0.
 
-    Computed through the substitution s = t / (1 - t), maximizing the concave
-    map s -> -s r - (1 + s) psi(s / (1 + s)) over s >= 0. Equals -psi(0) once
-    r >= -psi(0) - psi'(0); +inf below -psi(1).
+    The objective is concave in s = t / (1 - t) and stationary exactly where
+    (t - 1) psi'(t) - psi(t) = r, so inside the window it is evaluated at
+    t_r = solve_t_r(curve, r). Equals -psi(0) once r >= -psi(0) - psi'(0);
+    +inf below -psi(1).
     """
     if r < 0.0:
         raise ValidationError(f"rate r must be >= 0, got {r}")
@@ -222,28 +228,14 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
         return r + psi_prime(curve, 1.0)
     if r >= -psi0 - psi_prime(curve, 0.0):
         return -psi0
-
-    def gain(s: float) -> float:
-        t = s / (1.0 + s)
-        return -s * r - (1.0 + s) * psi(curve, t)
-
-    s_hi = 1.0
-    for _ in range(200):
-        if gain(2.0 * s_hi) <= gain(s_hi):
-            break
-        s_hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the Hoeffding maximizer")
-    s_hi *= 2.0
-    _, best = golden_max(gain, 0.0, s_hi, 1e-12 * (1.0 + s_hi))
-    return max(best, -psi0)
+    return _hoeffding_at(curve, r, solve_t_r(curve, r))
 
 
 def phi(curve: PsiCurve, a: float) -> float:
     """phi(a) = max over t in [0,1] of (a t - psi(t)); concave conjugate on the unit interval."""
     _require_joint_support(curve)
-    _, value = grid_golden_max(lambda t: a * t - psi(curve, t), 0.0, 1.0)
-    return value
+    t = _conjugate_point(curve, a)
+    return a * t - psi(curve, t)
 
 
 def phi_hat(curve: PsiCurve, a: float) -> float:

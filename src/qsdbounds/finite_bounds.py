@@ -14,12 +14,12 @@ from typing import Any, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from ._search import bisect_decreasing
 from .divergences import (
     PsiCurve,
+    _hoeffding_at,
     binary_entropy,
+    chernoff_distance,
     eta,
-    hoeffding_distance,
     phi,
     psi,
     psi_prime,
@@ -27,7 +27,7 @@ from .divergences import (
     relative_entropy_variance,
     solve_t_r,
 )
-from .errors import DegeneracyError, ValidationError
+from .errors import ValidationError
 from .linalg import SUPPORT_CUTOFF, DensityMatrix
 from .ns_mapping import ClassicalPair, build_classical_pair
 
@@ -188,7 +188,7 @@ def hoeffding_upper(curve: PsiCurve, n: int, r: float) -> BoundReport:
         t_r = 0.0
     else:
         t_r = solve_t_r(curve, r)
-    h_r = hoeffding_distance(curve, r)
+    h_r = _hoeffding_at(curve, r, t_r)
     value = -h_r - binary_entropy(t_r) / ((1.0 - t_r) * n)
     params.update({"t_r": t_r, "hoeffding_distance": h_r})
     return BoundReport(n=n, quantity="hoeffding_rate", side="upper", bound_value=value, parameters=params)
@@ -257,9 +257,9 @@ def classical_lower(pair: ClassicalPair, n: int, r: float) -> ClassicalLowerBoun
     curve = pair.psi_curve()
     try:
         t_r = solve_t_r(curve, r)
-    except (DegeneracyError, ValidationError) as exc:
+    except ValidationError as exc:
         return pair_invalid(str(exc))
-    h_r = hoeffding_distance(curve, r)
+    h_r = _hoeffding_at(curve, r, t_r)
     p_min = float(np.min(pair.p))
     q_min = float(np.min(pair.q))
     common, c_n = _types_penalty(n, card, p_min)
@@ -326,7 +326,7 @@ def quantum_mixed_lower(
         t_r = solve_t_r(setup.curve, r)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    h_r = hoeffding_distance(setup.curve, r)
+    h_r = _hoeffding_at(setup.curve, r, t_r)
     params.update({"t_r": t_r, "a_r": h_r - r, "hoeffding_distance": h_r,
                    "c": setup.c, "p_min": setup.p_min, "q_min": setup.q_min})
     return BoundReport(n=n, quantity="mixed_rate", side="lower",
@@ -347,11 +347,9 @@ def quantum_chernoff_lower(
         setup = _quantum_types_setup(rho, sigma, n, group_tol, params)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    curve = setup.curve
-    if not (psi_prime(curve, 0.0) < 0.0 < psi_prime(curve, 1.0)):
+    chern, t_0 = chernoff_distance(setup.curve)
+    if not 0.0 < t_0 < 1.0:
         return _invalid(n, "mixed_rate", "lower", params, "psi' has no root in (0, 1)")
-    t_0 = bisect_decreasing(lambda t: -psi_prime(curve, t), 0.0, 1.0, 0.0, 1e-12)
-    chern = -psi(curve, t_0)
     params.update({"t_0": t_0, "chernoff": chern, "c": setup.c,
                    "p_min": setup.p_min, "q_min": setup.q_min})
     return BoundReport(n=n, quantity="mixed_rate", side="lower",

@@ -128,10 +128,6 @@ def test_array_sums_are_bit_identical_to_math_fsum():
     for rho, sig in pairs:
         curve = build_psi(rho.spectral(), sig.spectral())
         assert relative_entropy(curve) == math.fsum(np.exp(curve.log_p) * curve.log_ratios)
-        p, q = np.exp(curve.log_p), np.exp(curve.log_q)
-        classical = psi_curve_from_probabilities(p, q)
-        assert classical.trace_a == math.fsum(p)
-        assert classical.trace_b == math.fsum(q)
 
 
 def test_renyi_values_and_support_rules():

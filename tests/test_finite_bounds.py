@@ -14,6 +14,7 @@ from qsdbounds import (
     classical_lower,
     hoeffding_upper,
     mixed_upper,
+    phi,
     psi,
     psi_curve_from_probabilities,
     psi_prime,
@@ -264,10 +265,33 @@ def test_quantum_chernoff_lower_symmetric_root():
     assert out.parameters["chernoff"] == pytest.approx(-math.log(0.6), abs=1e-9)
 
 
-def test_quantum_chernoff_lower_no_root():
-    # identical states: psi' is identically 0, no interior sign change
-    out = quantum_chernoff_lower(HALF, HALF, 50)
+KERNEL_RHO = DensityMatrix(np.diag([0.6, 0.3, 0.1]))
+KERNEL_SIGMA = DensityMatrix(np.diag([0.8, 0.2, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "rho, sig, t_star, chernoff",
+    [
+        # identical states: psi' is identically 0, so the leftmost argmin 0 wins
+        (HALF, HALF, 0.0, 0.0),
+        # psi'(1) < 0: psi decreases on all of [0, 1] down to log Tr rho Pi_sigma = log 0.9
+        (KERNEL_RHO, KERNEL_SIGMA, 1.0, -math.log(0.9)),
+        # psi'(0) > 0: psi increases on all of [0, 1]
+        (KERNEL_SIGMA, KERNEL_RHO, 0.0, -math.log(0.9)),
+    ],
+    ids=["identical", "argmin_one", "argmin_zero"],
+)
+def test_quantum_chernoff_lower_no_root(rho, sig, t_star, chernoff):
+    curve = build_psi(rho.spectral(), sig.spectral())
+    c, t = chernoff_distance(curve)
+    assert t == t_star
+    assert c == pytest.approx(chernoff, abs=1e-15)
+    out = quantum_chernoff_lower(rho, sig, 100)
     assert not out.valid
+    assert out.reason == "psi' has no root in (0, 1)"
+    # the conjugate's maximizer sits at an endpoint once a lies outside [psi'(0), psi'(1)]
+    assert phi(curve, 5.0) == 5.0 - psi(curve, 1.0)
+    assert phi(curve, -5.0) == -psi(curve, 0.0)
 
 
 def test_second_order_reference_values():

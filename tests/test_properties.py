@@ -1,4 +1,5 @@
-"""Property tests of the spectral layer on qubit and qutrit state pairs.
+"""Property tests of the spectral layer and of the transforms of psi on qubit
+and qutrit state pairs.
 
 States are full-rank, rank-deficient, pure, diagonal (two diagonal states
 commute), or carry two eigenvalues planted just below or just above the
@@ -7,10 +8,18 @@ eigenvalue grouping tolerance.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsdbounds import DensityMatrix, build_psi, psi
+from qsdbounds import (
+    DensityMatrix,
+    build_psi,
+    chernoff_distance,
+    hoeffding_distance,
+    phi,
+    psi,
+    psi_prime,
+)
 from qsdbounds.linalg import DEFAULT_GROUP_TOL, eigh, support_overlap_table
 
 from helpers import random_unitary
@@ -115,5 +124,32 @@ def test_psi_at_zero_and_one_are_log_traces_on_the_joint_support(pair):
     slack = 1e-11 + rho.dim * (_clustering_shift(rho) + _clustering_shift(sigma))
     assert math.isclose(math.exp(psi(curve, 0.0)), overlap_0, rel_tol=1e-10, abs_tol=slack)
     assert math.isclose(math.exp(psi(curve, 1.0)), overlap_1, rel_tol=1e-10, abs_tol=slack)
-    assert math.isclose(curve.trace_a, 1.0, abs_tol=1e-12)
-    assert math.isclose(curve.trace_b, 1.0, abs_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_transforms_of_psi_dominate_their_objectives_on_a_t_grid(pair):
+    rho, sigma = pair
+    curve = build_psi(rho.spectral(), sigma.spectral())
+    assume(not curve.orthogonal_supports)
+    grid = np.linspace(0.0, 1.0, 201)
+    psis = np.array([psi(curve, float(t)) for t in grid])
+
+    def slack(value):
+        return 1e-12 * max(1.0, abs(value))
+
+    chernoff, t_star = chernoff_distance(curve)
+    assert chernoff >= np.max(-psis) - slack(chernoff)
+    assert -psi(curve, t_star) == chernoff
+    d0, d1 = psi_prime(curve, 0.0), psi_prime(curve, 1.0)
+    for a in np.linspace(d0 - 0.1, d1 + 0.1, 9):
+        value = phi(curve, float(a))
+        assert value >= np.max(a * grid - psis) - slack(value)
+    r_bot, r_top = -psis[-1], -psis[0] - d0
+    inner = grid[:-1]
+    for frac in (0.01, 0.3, 0.7, 0.99):
+        # -psi(1) >= 0 holds only up to rounding
+        r = max(r_bot + frac * (r_top - r_bot), 0.0)
+        value = hoeffding_distance(curve, r)
+        objective = (-inner * r - psis[:-1]) / (1.0 - inner)
+        assert value >= np.max(objective) - slack(value)
