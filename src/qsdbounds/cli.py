@@ -176,9 +176,11 @@ def _cmd_stein(args) -> int:
     def row(n: int) -> list:
         lower = stein_lower(curve, n, args.eps, args.variant)
         upper = stein_upper(curve, n, args.eps, args.variant)
-        exact = None
-        if rho.dim**n <= DIM_CAP:
+        try:
             beta = beta_eps_exact(rho, sigma, n, args.eps)
+        except ResourceLimitError:  # beyond the oracle's cap the cell stays empty
+            exact = None
+        else:
             exact = math.log(beta) / n if beta > 0.0 else -math.inf
         ref = second_order_reference(curve, n, args.eps)
         return [
@@ -219,9 +221,11 @@ def _cmd_chernoff(args) -> int:
     def row(n: int) -> list:
         upper = mixed_upper(curve, n, 0.0).mixed
         lower = quantum_chernoff_lower(rho, sigma, n)
-        exact = None
-        if rho.dim**n <= DIM_CAP:
+        try:
             e_n = quantum_mixed_error_exact(rho, sigma, n, 0.0)
+        except ResourceLimitError:  # beyond the oracle's cap the cell stays empty
+            exact = None
+        else:
             exact = math.log(e_n) / n if e_n > 0.0 else -math.inf
         return [
             n,

@@ -31,6 +31,7 @@ from .linalg import (
 WEIGHT_CUTOFF = 1e-12
 _CONTAINMENT_TOL = 1e-10
 _BOUNDARY_TOL = 1e-13
+_BOUNDARY_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -123,23 +124,25 @@ def psi(curve: PsiCurve, t: float) -> float:
     return _logsumexp(curve.log_q + t * curve.log_ratios)
 
 
-def _tilted_weights(curve: PsiCurve, t: float) -> np.ndarray:
+def _tilted(curve: PsiCurve, t: float) -> tuple[float, np.ndarray]:
+    """(psi(t), tilted measure at t) from one exponential pass; psi(t) is bit-identical to `psi`."""
     logw = curve.log_q + t * curve.log_ratios
-    w = np.exp(logw - logw.max())
-    return w / _fsum(w)
+    m = float(np.max(logw))
+    w = np.exp(logw - m)
+    total = _fsum(w)
+    return m + math.log(total), w / total
 
 
 def psi_prime(curve: PsiCurve, t: float) -> float:
     """psi'(t): mean of the log-ratio statistic under the tilted measure at t."""
     _require_joint_support(curve)
-    mu = _tilted_weights(curve, t)
-    return _fsum(mu * curve.log_ratios)
+    return _fsum(_tilted(curve, t)[1] * curve.log_ratios)
 
 
 def psi_second(curve: PsiCurve, t: float) -> float:
     """psi''(t): variance of the log-ratio statistic under the tilted measure at t."""
     _require_joint_support(curve)
-    mu = _tilted_weights(curve, t)
+    mu = _tilted(curve, t)[1]
     mean = _fsum(mu * curve.log_ratios)
     dev = curve.log_ratios - mean
     return _fsum(mu * dev * dev)
@@ -223,8 +226,12 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     psi1 = psi(curve, 1.0)
     if r < -psi1 - _BOUNDARY_TOL:
         return math.inf
-    if r <= -psi1 + _BOUNDARY_TOL:
-        # boundary value: the supremum is approached as t -> 1
+    if r <= -psi1 + _BOUNDARY_ULPS * math.ulp(max(1.0, abs(psi1))):
+        # boundary value: the supremum is approached as t -> 1. Just above
+        # -psi(1), t_r is accurate once r clears the rounding of psi(1) = m + log S,
+        # which is about ulp(1) even when psi(1) is tiny; just below, H_r is +inf,
+        # but psi(1) = 0 of nested supports holds only to the rounding of the
+        # spectral data, so r within _BOUNDARY_TOL counts as on the boundary.
         return r + psi_prime(curve, 1.0)
     if r >= -psi0 - psi_prime(curve, 0.0):
         return -psi0
@@ -261,7 +268,8 @@ def solve_t_r(curve: PsiCurve, r: float) -> float:
         )
 
     def g(t: float) -> float:
-        return (t - 1.0) * psi_prime(curve, t) - psi(curve, t)
+        value, mu = _tilted(curve, t)
+        return (t - 1.0) * _fsum(mu * curve.log_ratios) - value
 
     return bisect_decreasing(g, 0.0, 1.0, r, 1e-12)
 

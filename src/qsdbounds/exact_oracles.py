@@ -4,11 +4,18 @@ All quantities here are computed without asymptotics: trace norms of the
 weighted difference operator, spectral projections of likelihood-ratio type
 tests, the dual form of the minimal type-II error at fixed type-I budget,
 and the randomized classical Neyman-Pearson value via type enumeration.
+
+The quantum oracles never build the d^n x d^n tensor powers. By Schur-Weyl
+duality rho^(tensor n) and sigma^(tensor n) split into the same
+state-independent blocks, one per Young diagram of n boxes with at most d
+rows, each of size at most the dimension of the matching GL(d) irrep; the
+trace functionals are multiplicity-weighted sums over the blocks.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -17,60 +24,166 @@ from .errors import ConvergenceError, ResourceLimitError, ValidationError
 from .linalg import (
     DIM_CAP,
     DensityMatrix,
-    _eigvalsh,
     _fsum,
     matrix_power_support,
     positive_part_trace,
-    tensor_power,
     trace_norm,
 )
 from .ns_mapping import MAX_TYPES, _type_sums, _type_table
 
 _KERNEL_TOL = 1e-12
 
+Partition = tuple[int, ...]
 
-def _sym_isometry(m: int) -> np.ndarray:
-    """V_m: the symmetric basis of Sym^m(C^2) inside Sym^(m-1)(C^2) (x) C^2.
+# State-independent irrep data keyed by (kind, d, partition), built on first
+# use and kept for the life of the process. Entries are built under the lock,
+# so each is built once and every thread reads the same basis: the CLI's
+# thread pool must give the same output bytes as one thread.
+_IRREPS: dict[tuple[str, int, Partition], object] = {}
+_IRREPS_LOCK = threading.RLock()
 
-    Column j is the symmetric state with j excitations,
-    sqrt((m-j)/m) |j>|0> + sqrt(j/m) |j-1>|1>, a real (2m) x (m+1) isometry.
+
+def _cached(kind: str, d: int, lam: Partition, build: Callable[[int, Partition], object]):
+    key = (kind, d, lam)
+    try:
+        return _IRREPS[key]
+    except KeyError:
+        pass
+    with _IRREPS_LOCK:
+        if key not in _IRREPS:
+            _IRREPS[key] = build(d, lam)
+        return _IRREPS[key]
+
+
+def _partitions(n: int, rows: int) -> list[Partition]:
+    """Partitions of n into at most `rows` parts, in descending lexicographic order."""
+
+    def extend(rest: int, cap: int, left: int):
+        if rest == 0:
+            yield ()
+        elif left:
+            for first in range(min(rest, cap), 0, -1):
+                for tail in extend(rest - first, first, left - 1):
+                    yield (first, *tail)
+
+    return list(extend(n, n, rows))
+
+
+def _tableaux(lam: Partition) -> int:
+    """f^lambda, the number of standard Young tableaux of shape lambda (hook-length formula)."""
+    cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
+    hooks = math.prod(r - j + cols[j] - i - 1 for i, r in enumerate(lam) for j in range(r))
+    return math.factorial(sum(lam)) // hooks
+
+
+def _parent(lam: Partition) -> tuple[Partition, int]:
+    """(mu, c): lam minus the last box of its lowest row, and that box's content column - row."""
+    last = lam[-1]
+    return lam[:-1] + ((last - 1,) if last > 1 else ()), last - len(lam)
+
+
+def _basis(d: int, lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """(W_lam, weights): the basis of V_lam; weights[c] counts each index of C^d in column c."""
+    if lam == (1,):  # V_(1) = C^d in its standard basis
+        return np.eye(d), np.eye(d, dtype=np.int64)
+    return _cached("basis", d, lam, _build_basis)
+
+
+def _generators(d: int, lam: Partition) -> np.ndarray:
+    """dpi_lam(E_ij) for every i, j: a real (d, d, f, f) array in the basis of V_lam."""
+    if lam == (1,):
+        return np.eye(d * d).reshape(d, d, d, d)
+    return _cached("generators", d, lam, _build_generators)
+
+
+def _build_basis(d: int, lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """W_lam, a real orthonormal basis of V_lam inside V_mu (x) C^d, and its torus weights.
+
+    By Pieri's rule V_lam occurs once in V_mu (x) C^d. It is the eigenspace of
+    X_mu = sum_ij dpi_mu(E_ij) (x) E_ji whose eigenvalue is the content c of
+    the added box; the other addable boxes of mu have contents at least 2
+    away. X_mu commutes with the torus, so it is diagonalized one weight
+    space of V_mu (x) C^d at a time, and each column of W_lam lies in one.
     """
-    v = np.zeros((2 * m, m + 1))
-    j = np.arange(m)
-    v[2 * j, j] = np.sqrt((m - j) / m)
-    v[2 * j + 1, j + 1] = np.sqrt((j + 1) / m)
-    return v
+    mu, content = _parent(lam)
+    g = _generators(d, mu)
+    k = g.shape[2]
+    product_weights = (_basis(d, mu)[1][:, None, :] + np.eye(d, dtype=np.int64)).reshape(k * d, d)
+    keys, group = np.unique(product_weights, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    order = np.argsort(group, kind="stable")
+    columns, weights = [], []
+    for key, idx in zip(keys, np.split(order, np.cumsum(np.bincount(group))[:-1])):
+        a, j = np.divmod(idx, d)
+        # X_mu[(a, j), (b, i)] = dpi_mu(E_ij)[a, b]
+        w, v = np.linalg.eigh(g[j[None, :], j[:, None], a[:, None], a[None, :]])
+        v = v[:, np.abs(w - content) < 0.5]
+        columns.append((idx, v))
+        weights += [key] * v.shape[1]
+    basis = np.zeros((k * d, len(weights)))
+    start = 0
+    for idx, v in columns:
+        basis[idx, start : start + v.shape[1]] = v
+        start += v.shape[1]
+    basis.flags.writeable = False
+    return basis, np.array(weights)
 
 
-def _schur_weyl_blocks(state: DensityMatrix, n: int) -> list[np.ndarray]:
-    """det(A)^k Sym^(n-2k)(A) for k = 0..n//2, the blocks of A^(tensor n) for a qubit A.
+def _build_generators(d: int, lam: Partition) -> np.ndarray:
+    """dpi_lam(E_ij) = W^T (dpi_mu(E_ij) (x) I + I (x) E_ij) W for W = W_lam."""
+    mu, _ = _parent(lam)
+    g = _generators(d, mu)
+    k = g.shape[2]
+    w = _basis(d, lam)[0]
+    f = w.shape[1]
+    w3 = w.reshape(k, d, f)
+    left = (g.reshape(d * d * k, k) @ w3.reshape(k, d * f)).reshape(d * d, k * d, f)
+    out = (w.T @ left).reshape(d, d, f, f)
+    out += np.tensordot(w3, w3, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return out
 
-    Sym^m is built by the Clebsch-Gordan recursion
-    Sym^m(A) = V_m^T (Sym^(m-1)(A) (x) A) V_m. det is the product of the
-    eigenvalues clamped at 0, so rounding cannot make det^k of a pure state
-    negative for odd k. Each Sym^m is symmetrized once, so every block
-    and every real combination of blocks is exactly Hermitian.
+
+def _irrep_images(a: np.ndarray, lams: list[Partition]) -> list[np.ndarray]:
+    """pi_lam(a) for each lam: the action of a^(tensor n) on each Schur-Weyl block.
+
+    A diagram with d rows sheds its full columns: pi_lam(a) =
+    det(a)^(lam_d) pi_(lam - lam_d)(a). Otherwise pi_lam(a) =
+    W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so that every block is
+    exactly Hermitian. det is the product of the eigenvalues clamped at 0, so
+    rounding cannot make det^k of a rank-deficient state negative.
     """
-    a = state.array
-    det = max(float(np.prod(_eigvalsh(a))), 0.0)
-    sym = [np.ones((1, 1), dtype=np.complex128)]
-    for m in range(1, n + 1):
-        v = _sym_isometry(m)
-        s = v.T @ np.kron(sym[-1], a) @ v
-        sym.append((s + s.conj().T) / 2.0)
-    return [det**k * sym[n - 2 * k] for k in range(n // 2 + 1)]
+    d = a.shape[0]
+    det = max(float(np.prod(np.linalg.eigvalsh(a))), 0.0)
+    images: dict[Partition, np.ndarray] = {(): np.ones((1, 1), dtype=np.complex128), (1,): a}
+
+    def image(lam: Partition) -> np.ndarray:
+        if lam not in images:
+            if len(lam) == d:
+                full = lam[-1]
+                images[lam] = det**full * image(tuple(r - full for r in lam if r > full))
+            else:
+                w = _basis(d, lam)[0]
+                rep_mu = image(_parent(lam)[0])
+                k, f = rep_mu.shape[0], w.shape[1]
+                # (pi_mu(a) (x) a) W without forming the Kronecker product
+                s = w.T @ (rep_mu @ (a @ w.reshape(k, d, f)).reshape(k, d * f)).reshape(k * d, f)
+                images[lam] = (s + s.conj().T) / 2.0
+        return images[lam]
+
+    return [image(lam) for lam in lams]
 
 
 def _block_pair(
     rho: DensityMatrix, sigma: DensityMatrix, n: int, dim_cap: int
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """rho^(tensor n) and sigma^(tensor n) as blocks (multiplicity, R_k, S_k) of one basis.
+    """rho^(tensor n) and sigma^(tensor n) as blocks (multiplicity, R_lam, S_lam) of one basis.
 
-    For qubits, Schur-Weyl duality splits (C^2)^(tensor n) into blocks
-    k = 0..n//2 that do not depend on the state: A^(tensor n) acts on block k
-    as det(A)^k Sym^(n-2k)(A), repeated C(n,k) - C(n,k-1) times. Every other
-    dimension gives the single block (1, rho^(tensor n), sigma^(tensor n)).
-    The cap d^n <= dim_cap applies to both.
+    Schur-Weyl duality splits (C^d)^(tensor n) into blocks, one for each
+    partition lam of n with at most d rows, that do not depend on the state:
+    A^(tensor n) acts on block lam as the GL(d) irrep pi_lam(A), repeated
+    f^lam times (the number of standard Young tableaux of shape lam). For
+    qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The cap
+    d^n <= dim_cap bounds n for every d.
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -78,10 +191,9 @@ def _block_pair(
         raise ValidationError(f"need n >= 1, got {n}")
     if rho.dim**n > dim_cap:
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {dim_cap}")
-    if rho.dim != 2:
-        return [(1, tensor_power(rho.array, n, dim_cap), tensor_power(sigma.array, n, dim_cap))]
-    mults = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
-    return list(zip(mults, _schur_weyl_blocks(rho, n), _schur_weyl_blocks(sigma, n)))
+    lams = _partitions(n, rho.dim)
+    mults = [_tableaux(lam) for lam in lams]
+    return list(zip(mults, _irrep_images(rho.array, lams), _irrep_images(sigma.array, lams)))
 
 
 def quantum_mixed_error_exact(
@@ -90,7 +202,8 @@ def quantum_mixed_error_exact(
     """Optimal mixed error e_n(a) = (1 + exp(-n a))/2 - ||exp(-n a) rho_n - sigma_n||_1 / 2.
 
     The trace norm is the multiplicity-weighted sum over the blocks of
-    `_block_pair`: for qubits n//2 + 1 eigenproblems of size <= n + 1.
+    `_block_pair`: one eigenproblem per block, of size <= n + 1 for qubits
+    and <= 48 for qutrits at n = 7.
     """
     blocks = _block_pair(rho, sigma, n, dim_cap)
     kappa = math.exp(-n * a)

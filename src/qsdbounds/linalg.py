@@ -64,7 +64,8 @@ class SpectralDecomposition:
 
 
 def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    # exact-diagonal fast path: tensor powers of diagonal matrices stay diagonal
+    # exact-diagonal fast path: diagonal states, and the Schur-Weyl blocks of a
+    # diagonal pair whose weight spaces are one-dimensional (every qubit block)
     if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
         return np.sort(arr.diagonal().real)
     return np.linalg.eigvalsh(arr)

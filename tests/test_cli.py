@@ -82,13 +82,37 @@ def test_oracle_reference_value(tmp_path):
     assert payload["alpha"] + payload["beta"] == pytest.approx(payload["e_n"], abs=1e-12)
 
 
-def test_identical_inputs_identical_bytes(tmp_path, pair_files):
-    rho_f, sig_f = pair_files
-    d1, d2 = tmp_path / "run1", tmp_path / "run2"
-    argv = ["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1", "--n-max", "8"]
-    assert main(argv + ["--out", str(d1), "--threads", "4"]) == 0
-    assert main(argv + ["--out", str(d2), "--threads", "1"]) == 0
-    assert (d1 / "stein.csv").read_bytes() == (d2 / "stein.csv").read_bytes()
+@pytest.fixture
+def qutrit_files(tmp_path):
+    rng = np.random.default_rng(20)
+    return (
+        write_state(tmp_path / "rho3.json", random_full_rank_state(rng, 3)),
+        write_state(tmp_path / "sig3.json", random_full_rank_state(rng, 3)),
+    )
+
+
+def test_identical_inputs_identical_bytes(tmp_path, pair_files, qutrit_files):
+    # the qutrit rows n <= 7 are computed on Schur-Weyl bases cached across threads
+    for label, (rho_f, sig_f) in (("qubit", pair_files), ("qutrit", qutrit_files)):
+        d1, d2 = tmp_path / label / "run1", tmp_path / label / "run2"
+        argv = ["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1", "--n-max", "8"]
+        assert main(argv + ["--out", str(d1), "--threads", "4"]) == 0
+        assert main(argv + ["--out", str(d2), "--threads", "1"]) == 0
+        assert (d1 / "stein.csv").read_bytes() == (d2 / "stein.csv").read_bytes()
+
+
+def test_qutrit_exact_columns_fill_up_to_the_cap(tmp_path, qutrit_files):
+    # 3^7 = 2187 <= 4096 < 3^8: rows 1..7 carry the exact rate, row 8 is left empty
+    rho_f, sig_f = qutrit_files
+    out = tmp_path / "out"
+    assert main(["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1",
+                 "--n-max", "8", "--out", str(out)]) == 0
+    assert main(["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "8",
+                 "--out", str(out)]) == 0
+    for name, column in (("stein.csv", 3), ("chernoff.csv", 3)):
+        exact = [line.split(",")[column] for line in (out / name).read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) and float(cell) < 0.0 for cell in exact[:7]), name
+        assert exact[7] == "", name
 
 
 def test_csv_round_trip_is_lossless(tmp_path, pair_files):

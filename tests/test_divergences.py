@@ -257,6 +257,37 @@ def test_hoeffding_infinite_below_psi_one():
     assert boundary == pytest.approx(-psi(curve, 1.0) + psi_prime(curve, 1.0), abs=1e-9)
 
 
+def test_hoeffding_just_above_psi_one_matches_a_40_digit_reference():
+    # 5e-14 above -psi(1): H_r falls like sqrt(2 psi''(1) (r + psi(1))), so the
+    # t -> 1 limit r + psi'(1) is 2e-7 off here
+    import mpmath
+
+    curve = psi_curve_from_probabilities([0.25, 0.75], [0.6, 0.4])
+    r = -psi(curve, 1.0) + 5e-14
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    log_p = [mp.mpf(float(x)) for x in curve.log_p]
+    log_q = [mp.mpf(float(x)) for x in curve.log_q]
+
+    def psi_and_prime(t):
+        w = [mp.exp(t * lp + (1 - t) * lq) for lp, lq in zip(log_p, log_q)]
+        total = mp.fsum(w)
+        return mp.log(total), mp.fsum(x * (lp - lq) for x, lp, lq in zip(w, log_p, log_q)) / total
+
+    # (t - 1) psi'(t) - psi(t) decreases to -psi(1) < r: bisect for t_r, then evaluate H_r there
+    lo, hi = mp.mpf(0), mp.mpf(1)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        value, slope = psi_and_prime(mid)
+        if (mid - 1) * slope - value > r:
+            lo = mid
+        else:
+            hi = mid
+    t = (lo + hi) / 2
+    reference = float((-t * r - psi_and_prime(t)[0]) / (1 - t))
+    assert abs(hoeffding_distance(curve, r) - reference) <= 1e-9
+
+
 def test_hoeffding_rejects_negative_r():
     with pytest.raises(ValidationError):
         hoeffding_distance(PAIR_A, -0.1)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from qsdbounds import (
 from qsdbounds import exact_oracles
 from qsdbounds.linalg import DIM_CAP, tensor_power
 
-from helpers import qubit_pairs, random_full_rank_qubit, random_unitary
+from helpers import qubit_pairs, random_full_rank_state, random_unitary
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]))
 ONE = DensityMatrix(np.diag([0.0, 1.0]))
@@ -193,28 +196,37 @@ def test_quantum_matches_classical_on_diagonal_states():
 CROSS_CHECK_KINDS = ("full_rank", "rank_deficient", "pure_rho", "pure_sigma", "commuting", "near_degenerate")
 
 
-def _cross_check_pair(kind: str) -> tuple[DensityMatrix, DensityMatrix]:
-    rng = np.random.default_rng([307, CROSS_CHECK_KINDS.index(kind)])
+def _cross_check_pair(kind: str, d: int = 2) -> tuple[DensityMatrix, DensityMatrix]:
+    rng = np.random.default_rng([307, CROSS_CHECK_KINDS.index(kind), *([d] if d != 2 else [])])
 
     def full():
-        return random_full_rank_qubit(rng)
+        return random_full_rank_state(rng, d)
 
     def pure():
-        return DensityMatrix.pure(random_unitary(rng, 2)[:, 0])
+        return DensityMatrix.pure(random_unitary(rng, d)[:, 0])
+
+    def rank_two():
+        u = random_unitary(rng, d)[:, :2]
+        return DensityMatrix((u * np.array([0.65, 0.35])) @ u.conj().T)
 
     if kind == "full_rank":
         return full(), full()
-    if kind == "rank_deficient":  # a rank-deficient qubit is pure: both states rank 1
-        return pure(), pure()
+    if kind == "rank_deficient":  # both states rank 2; a rank-deficient qubit is pure
+        return (pure(), pure()) if d == 2 else (rank_two(), rank_two())
     if kind == "pure_rho":
         return pure(), full()
     if kind == "pure_sigma":
         return full(), pure()
     if kind == "commuting":
-        return DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
-    # eigenvalues 4e-9 apart, under the eigensolver's grouping tolerance of 1e-8
-    u = random_unitary(rng, 2)
-    return DensityMatrix((u * np.array([0.5 + 2e-9, 0.5 - 2e-9])) @ u.conj().T), full()
+        if d == 2:
+            return DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
+        return DensityMatrix.diagonal(rng.dirichlet(np.ones(d))), DensityMatrix.diagonal(rng.dirichlet(np.ones(d)))
+    # two eigenvalues 4e-9 apart, under the eigensolver's grouping tolerance of 1e-8
+    u = random_unitary(rng, d)
+    weights = np.arange(d - 1, 0, -1, dtype=np.float64) ** 2
+    weights /= weights.sum()
+    evals = np.concatenate(([weights[0] / 2 + 2e-9, weights[0] / 2 - 2e-9], weights[1:]))
+    return DensityMatrix((u * evals) @ u.conj().T), full()
 
 
 def _oracle_values(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> dict:
@@ -231,8 +243,10 @@ def _assert_values_agree(got: dict, want: dict, compare_flag: bool) -> None:
         if key == "beta" or key[0] == "e":
             assert abs(got[key] - value) <= 1e-10 * abs(value), key
         else:
-            assert abs(got[key].alpha - value.alpha) <= 1e-9, key
-            assert abs(got[key].beta - value.beta) <= 1e-9, key
+            # alpha and beta carry an absolute rounding floor: two roundings of
+            # the same qubit blocks already differ by 1.4e-15 on beta = 3e-7
+            assert abs(got[key].alpha - value.alpha) <= 1e-12 * abs(value.alpha) + 1e-14, key
+            assert abs(got[key].beta - value.beta) <= 1e-12 * abs(value.beta) + 1e-14, key
             if compare_flag:
                 assert got[key].degenerate_kernel == value.degenerate_kernel, key
 
@@ -243,42 +257,101 @@ def _padded_qutrit(state: DensityMatrix) -> DensityMatrix:
 
 @pytest.mark.parametrize("kind", CROSS_CHECK_KINDS)
 def test_qubit_blocks_match_the_dense_path_of_the_padded_qutrit(kind):
-    # rho + 0 and sigma + 0 take the dense d >= 3 route and have the same exact
-    # errors; the padding adds an exact kernel, so the kernel flag is not compared.
-    # 3^n limits this to n <= 5: each 3^7-dim eigensolve takes seconds.
+    # rho + 0 and sigma + 0 have the same exact errors, computed on the qutrit
+    # Schur-Weyl blocks, so this checks the d = 2 and d = 3 blocks against each
+    # other; the padding adds an exact kernel, so the kernel flag is not compared.
     rho, sigma = _cross_check_pair(kind)
     rho3, sigma3 = _padded_qutrit(rho), _padded_qutrit(sigma)
-    for n in range(1, 6):
+    for n in range(1, 8):
         _assert_values_agree(
             _oracle_values(rho, sigma, n), _oracle_values(rho3, sigma3, n), compare_flag=False
         )
 
 
-@pytest.mark.parametrize("kind", CROSS_CHECK_KINDS)
-def test_qubit_blocks_match_dense_qubit_tensor_powers(kind, monkeypatch):
-    rho, sigma = _cross_check_pair(kind)
-    blocked = {n: _oracle_values(rho, sigma, n) for n in range(1, 8)}
+def _dense_cases():
+    # 3^5 and 4^4: the dense reference eigensolves the whole tensor power
+    for d, n_max in ((2, 7), (3, 5), (4, 4)):
+        for kind in CROSS_CHECK_KINDS:
+            yield pytest.param(kind, d, n_max, id=kind if d == 2 else f"{kind}-d{d}")
+
+
+@pytest.mark.parametrize("kind,d,n_max", _dense_cases())
+def test_qubit_blocks_match_dense_qubit_tensor_powers(kind, d, n_max, monkeypatch):
+    # ids without a suffix are the qubit cases; -d3 and -d4 run the same check on qudits
+    rho, sigma = _cross_check_pair(kind, d)
+    blocked = {n: _oracle_values(rho, sigma, n) for n in range(1, n_max + 1)}
     monkeypatch.setattr(
         exact_oracles,
         "_block_pair",
         lambda r, s, n, dim_cap: [(1, tensor_power(r.array, n), tensor_power(s.array, n))],
     )
-    for n in range(1, 8):
+    for n in range(1, n_max + 1):
         _assert_values_agree(blocked[n], _oracle_values(rho, sigma, n), compare_flag=True)
 
 
-def test_qubit_blocks_carry_the_spectrum_of_the_tensor_power():
-    rho, sigma = qubit_pairs(308, 1)[0]
+def _spectrum_case(d: int) -> tuple[DensityMatrix, DensityMatrix]:
+    if d == 1:
+        return DensityMatrix([[1.0]]), DensityMatrix([[1.0]])
+    if d == 2:
+        return qubit_pairs(308, 1)[0]
+    rng = np.random.default_rng([308, d])
+    return random_full_rank_state(rng, d), random_full_rank_state(rng, d)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_blocks_carry_the_spectrum_of_the_tensor_power(d):
+    rho, sigma = _spectrum_case(d)
     lam = np.linalg.eigvalsh(rho.array)
     for n in range(1, 13):
+        if d**n > DIM_CAP:
+            break
         blocks = exact_oracles._block_pair(rho, sigma, n, DIM_CAP)
-        assert len(blocks) == n // 2 + 1
-        assert sum(m * r.shape[0] for m, r, _ in blocks) == 2**n
+        if d == 2:
+            assert len(blocks) == n // 2 + 1
+        assert sum(m * r.shape[0] for m, r, _ in blocks) == d**n
+        assert math.fsum(m * float(np.trace(r).real) for m, r, _ in blocks) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(m * float(np.trace(s).real) for m, _, s in blocks) == pytest.approx(1.0, abs=1e-12)
-        if n <= 8:
+        if d**n <= 256:
             got = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(r), m) for m, r, _ in blocks]))
             want = np.sort(tensor_power(np.diag(lam), n).diagonal().real)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
+def test_irrep_cache_builds_each_basis_once_for_concurrent_callers(monkeypatch):
+    monkeypatch.setattr(exact_oracles, "_IRREPS", {})
+    builds = Counter()
+    build_basis = exact_oracles._build_basis
+
+    def counted(d, lam):
+        builds[d, lam] += 1
+        return build_basis(d, lam)
+
+    monkeypatch.setattr(exact_oracles, "_build_basis", counted)
+    rho, sigma = _spectrum_case(3)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = exact_oracles._block_pair(rho, sigma, 6, DIM_CAP)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds and set(builds.values()) == {1}
+    for blocks in results[1:]:
+        assert all(
+            m == m0 and np.array_equal(r, r0) and np.array_equal(s, s0)
+            for (m, r, s), (m0, r0, s0) in zip(blocks, results[0])
+        )
 
 
 def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():
