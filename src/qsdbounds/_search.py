@@ -8,6 +8,7 @@ from .errors import ConvergenceError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 400
+BISECT_TOL = 1e-12
 
 
 def golden_max(
@@ -38,12 +39,13 @@ def golden_max(
     return x, f(x)
 
 
-def bisect_decreasing(
-    g: Callable[[float], float], lo: float, hi: float, target: float, tol: float = 1e-12
-) -> float:
-    """Solve g(x) = target for strictly decreasing g with g(lo) > target > g(hi)."""
+def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float, target: float) -> float:
+    """Solve g(x) = target for strictly decreasing g with g(lo) > target > g(hi).
+
+    The bracket is halved until its width is at most BISECT_TOL.
+    """
     for _ in range(_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= BISECT_TOL:
             break
         mid = (lo + hi) / 2.0
         if g(mid) > target:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .divergences import _logsumexp, chernoff_distance, psi_curve_from_probabilities
 from .errors import DegeneracyError, ValidationError
+from .ns_mapping import _log_factorials
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,8 @@ def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     k = np.arange(n + 1)
-    log_comb = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    lg = _log_factorials(n)
+    log_comb = lg[n] - lg - lg[::-1]
     null = -n * a + log_comb + k * math.log(bp.p) + (n - k) * math.log1p(-bp.p)
     alt = log_comb + k * math.log(bp.q) + (n - k) * math.log1p(-bp.q)
     return _logsumexp(np.minimum(null, alt)) - math.log(2.0)
@@ -70,7 +71,8 @@ def crossover_s(bp: BinaryPair, a: float) -> float:
 def inc_beta_reg(z: float, k: float, l: float) -> float:
     """Regularized incomplete beta I_z(k, l) for k, l >= 0 and z in [0, 1].
 
-    Evaluated by scipy.special.betainc. Degenerate shapes follow the
+    Evaluated by scipy.special.betainc, imported here so that importing
+    the package does not load scipy.special. Degenerate shapes follow the
     point-mass conventions: k = 0 gives 1 (all mass at 0), l = 0 gives 0 for
     z < 1 (all mass at 1).
     """
@@ -78,6 +80,8 @@ def inc_beta_reg(z: float, k: float, l: float) -> float:
         raise ValidationError(f"need z in [0, 1], got {z}")
     if k < 0.0 or l < 0.0 or (k == 0.0 and l == 0.0):
         raise ValidationError(f"need k, l >= 0 and not both 0, got k={k}, l={l}")
+    from scipy.special import betainc
+
     return float(betainc(k, l, z))
 
 

@@ -217,9 +217,11 @@ def _cmd_chernoff(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = build_psi(rho.spectral(), sigma.spectral())
+    # -phi(0) does not depend on n
+    upper = mixed_upper(curve, 1, 0.0).mixed
+    upper_rate = upper.bound_value if upper.valid else None
 
     def row(n: int) -> list:
-        upper = mixed_upper(curve, n, 0.0).mixed
         lower = quantum_chernoff_lower(rho, sigma, n)
         try:
             e_n = quantum_mixed_error_exact(rho, sigma, n, 0.0)
@@ -227,12 +229,7 @@ def _cmd_chernoff(args) -> int:
             exact = None
         else:
             exact = math.log(e_n) / n if e_n > 0.0 else -math.inf
-        return [
-            n,
-            upper.bound_value if upper.valid else None,
-            lower.bound_value if lower.valid else None,
-            exact,
-        ]
+        return [n, upper_rate, lower.bound_value if lower.valid else None, exact]
 
     rows = _pool_map(row, range(1, args.n_max + 1), args.threads)
     _write_csv(

@@ -28,7 +28,6 @@ from .linalg import (
     trace_norm,
 )
 
-WEIGHT_CUTOFF = 1e-12
 _CONTAINMENT_TOL = 1e-10
 _BOUNDARY_TOL = 1e-13
 _BOUNDARY_ULPS = 4
@@ -63,13 +62,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def build_psi(
-    a_dec: SpectralDecomposition,
-    b_dec: SpectralDecomposition,
-    weight_cutoff: float = WEIGHT_CUTOFF,
-) -> PsiCurve:
+def build_psi(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> PsiCurve:
     """PsiCurve of a pair of PSD operators given by spectral decompositions."""
-    rows = support_overlap_table(a_dec, b_dec, weight_cutoff)
+    rows = support_overlap_table(a_dec, b_dec)
     trace_a = math.fsum(v * r for v, r in zip(a_dec.eigenvalues, a_dec.ranks()))
     weights = np.array([w for (_, _, _, _, w) in rows], dtype=np.float64)
     log_a = np.array([math.log(a) for (_, _, a, _, _) in rows], dtype=np.float64)
@@ -271,7 +266,7 @@ def solve_t_r(curve: PsiCurve, r: float) -> float:
         value, mu = _tilted(curve, t)
         return (t - 1.0) * _fsum(mu * curve.log_ratios) - value
 
-    return bisect_decreasing(g, 0.0, 1.0, r, 1e-12)
+    return bisect_decreasing(g, 0.0, 1.0, r)
 
 
 def a_r(curve: PsiCurve, r: float) -> float:
@@ -354,8 +349,6 @@ def profile_from_curve(curve: PsiCurve) -> DivergenceProfile:
     )
 
 
-def divergence_profile(
-    rho: DensityMatrix, sigma: DensityMatrix, group_tol: float = 1e-8
-) -> DivergenceProfile:
+def divergence_profile(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceProfile:
     """DivergenceProfile of two states, built from one shared PsiCurve."""
-    return profile_from_curve(build_psi(rho.spectral(group_tol), sigma.spectral(group_tol)))
+    return profile_from_curve(build_psi(rho.spectral(), sigma.spectral()))

@@ -29,7 +29,7 @@ from .linalg import (
     positive_part_trace,
     trace_norm,
 )
-from .ns_mapping import MAX_TYPES, _type_sums, _type_table
+from .ns_mapping import _type_sums, _type_table
 
 _KERNEL_TOL = 1e-12
 
@@ -174,7 +174,7 @@ def _irrep_images(a: np.ndarray, lams: list[Partition]) -> list[np.ndarray]:
 
 
 def _block_pair(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, dim_cap: int
+    rho: DensityMatrix, sigma: DensityMatrix, n: int
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """rho^(tensor n) and sigma^(tensor n) as blocks (multiplicity, R_lam, S_lam) of one basis.
 
@@ -183,29 +183,27 @@ def _block_pair(
     A^(tensor n) acts on block lam as the GL(d) irrep pi_lam(A), repeated
     f^lam times (the number of standard Young tableaux of shape lam). For
     qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The cap
-    d^n <= dim_cap bounds n for every d.
+    d^n <= DIM_CAP bounds n for every d.
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if rho.dim**n > dim_cap:
-        raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {dim_cap}")
+    if rho.dim**n > DIM_CAP:
+        raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
     lams = _partitions(n, rho.dim)
     mults = [_tableaux(lam) for lam in lams]
     return list(zip(mults, _irrep_images(rho.array, lams), _irrep_images(sigma.array, lams)))
 
 
-def quantum_mixed_error_exact(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float, dim_cap: int = DIM_CAP
-) -> float:
+def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> float:
     """Optimal mixed error e_n(a) = (1 + exp(-n a))/2 - ||exp(-n a) rho_n - sigma_n||_1 / 2.
 
     The trace norm is the multiplicity-weighted sum over the blocks of
     `_block_pair`: one eigenproblem per block, of size <= n + 1 for qubits
     and <= 48 for qutrits at n = 7.
     """
-    blocks = _block_pair(rho, sigma, n, dim_cap)
+    blocks = _block_pair(rho, sigma, n)
     kappa = math.exp(-n * a)
     norm = math.fsum([m * trace_norm(kappa * r - s) for m, r, s in blocks])
     return (kappa + 1.0) / 2.0 - norm / 2.0
@@ -217,9 +215,7 @@ class NPTestErrors(NamedTuple):
     degenerate_kernel: bool
 
 
-def np_test_errors(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float, dim_cap: int = DIM_CAP
-) -> NPTestErrors:
+def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> NPTestErrors:
     """Errors of the projector test onto the strictly positive part of exp(-n a) rho_n - sigma_n.
 
     alpha = Tr rho_n (I - T), beta = Tr sigma_n T, summed over the blocks of
@@ -227,7 +223,7 @@ def np_test_errors(
     1e-12 of zero are excluded from T and flagged, since any split of the
     kernel is optimal and the reported pair is then one choice among several.
     """
-    blocks = _block_pair(rho, sigma, n, dim_cap)
+    blocks = _block_pair(rho, sigma, n)
     kappa = math.exp(-n * a)
     accepted_r: list[float] = []
     accepted_s: list[float] = []
@@ -243,9 +239,7 @@ def np_test_errors(
     return NPTestErrors(alpha=alpha, beta=beta, degenerate_kernel=degenerate)
 
 
-def beta_eps_exact(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float, dim_cap: int = DIM_CAP
-) -> float:
+def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
     """Minimal type-II error at type-I budget eps over all operator tests.
 
     beta is exactly 0 when (Tr rho Pi)^n <= eps for Pi the support projector
@@ -262,7 +256,7 @@ def beta_eps_exact(
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    blocks = _block_pair(rho, sigma, n, dim_cap)
+    blocks = _block_pair(rho, sigma, n)
     support = matrix_power_support(sigma.spectral(), 0.0)
     if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
         return 0.0
@@ -283,9 +277,7 @@ def beta_eps_exact(
     return min(max(value, 0.0), 1.0)
 
 
-def classical_beta_eps_exact(
-    p, q, n: int, eps: float, max_types: int = MAX_TYPES
-) -> float:
+def classical_beta_eps_exact(p, q, n: int, eps: float) -> float:
     """Randomized Neyman-Pearson type-II error for classical distributions.
 
     Outcome types are sorted by likelihood ratio descending and accepted
@@ -304,7 +296,7 @@ def classical_beta_eps_exact(
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    counts, log_coef = _type_table(n, pa.size, max_types)
+    counts, log_coef = _type_table(n, pa.size)
     zero_p = pa == 0.0
     zero_q = qa == 0.0
     weights = np.column_stack(

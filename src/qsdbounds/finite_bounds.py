@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .divergences import (
     PsiCurve,
@@ -287,9 +287,7 @@ class _TypesSetup(NamedTuple):
     q_min: float
 
 
-def _quantum_types_setup(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, group_tol: float, params: dict
-) -> _TypesSetup:
+def _quantum_types_setup(rho: DensityMatrix, sigma: DensityMatrix, n: int, params: dict) -> _TypesSetup:
     """Induced classical pair and method-of-types penalty shared by the quantum lower bounds.
 
     Records d in params; raises ValidationError with the reason the bound is
@@ -298,7 +296,7 @@ def _quantum_types_setup(
     d = _union_support_dim(rho, sigma)
     card = d * d
     params["d"] = d
-    pair = build_classical_pair(rho.spectral(group_tol), sigma.spectral(group_tol))
+    pair = build_classical_pair(rho.spectral(), sigma.spectral())
     if n < card * (card - 1):
         raise ValidationError(f"needs n >= {card * (card - 1)}")
     p_min = float(np.min(pair.p))
@@ -307,9 +305,7 @@ def _quantum_types_setup(
     return _TypesSetup(pair.psi_curve(), common, c, p_min, q_min)
 
 
-def quantum_mixed_lower(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, r: float, group_tol: float = 1e-8
-) -> BoundReport:
+def quantum_mixed_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int, r: float) -> BoundReport:
     """Lower bound on (1/n) log e_n(a_r):
 
         -H_r - (3(d^2-1)/2) log(n)/n - c/n + 1/(n(12n+1)),
@@ -322,7 +318,7 @@ def quantum_mixed_lower(
     _check_n(n)
     params: dict[str, Any] = {"r": r}
     try:
-        setup = _quantum_types_setup(rho, sigma, n, group_tol, params)
+        setup = _quantum_types_setup(rho, sigma, n, params)
         t_r = solve_t_r(setup.curve, r)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
@@ -333,9 +329,7 @@ def quantum_mixed_lower(
                        bound_value=-h_r + setup.common - setup.c / n, parameters=params)
 
 
-def quantum_chernoff_lower(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int, group_tol: float = 1e-8
-) -> BoundReport:
+def quantum_chernoff_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> BoundReport:
     """Symmetric specialization of quantum_mixed_lower at threshold a = 0.
 
     Requires psi' to have a root in (0, 1); the corresponding rate is the
@@ -344,7 +338,7 @@ def quantum_chernoff_lower(
     _check_n(n)
     params: dict[str, Any] = {}
     try:
-        setup = _quantum_types_setup(rho, sigma, n, group_tol, params)
+        setup = _quantum_types_setup(rho, sigma, n, params)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
     chern, t_0 = chernoff_distance(setup.curve)
@@ -370,6 +364,6 @@ def second_order_reference(curve: PsiCurve, n: int, eps: float) -> BoundReport:
     d = relative_entropy(curve)
     v = relative_entropy_variance(curve)
     params.update({"relative_entropy": d, "variance": v})
-    value = -d + math.sqrt(v) * float(ndtri(eps)) / math.sqrt(n)
+    value = -d + math.sqrt(v) * NormalDist().inv_cdf(eps) / math.sqrt(n)
     return BoundReport(n=n, quantity="stein_rate", side="reference",
                        bound_value=value, parameters=params)

@@ -6,7 +6,8 @@ eigenvectors, operator powers restricted to the support, tensor products
 with a hard dimension cap, and trace functionals (trace norm, trace of the
 positive part). DensityMatrix is the one place where outside input is
 validated and symmetrized; the functions here read the Hermitian arrays
-they are given without copying them.
+they are given without copying them. Each tolerance and cap is one module
+constant below, not a per-call option.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 
-DIM_CAP = 4096
-DEFAULT_GROUP_TOL = 1e-8
-SUPPORT_CUTOFF = 1e-12
+DIM_CAP = 4096  # largest d^n of a tensor power or an exact oracle
+DEFAULT_GROUP_TOL = 1e-8  # eigenvalue gap, relative to max(1, ||H||), that splits clusters
+SUPPORT_CUTOFF = 1e-12  # eigenvalues at most this times the largest count as zero
+WEIGHT_CUTOFF = 1e-12  # overlaps Tr P_i Q_j at most this leave the joint support
 _FSUM_CHUNK = 1 << 16
 
 
@@ -71,12 +73,12 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(arr)
 
 
-def eigh(h: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
+def eigh(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian array with eigenvalues grouped into distinct clusters.
 
     Only the lower triangle of h is read. Raw eigenvalues whose consecutive
-    gap is at most group_tol * max(1, ||H||) are merged into one cluster;
-    the cluster eigenvalue is their mean and its block holds the
+    gap is at most DEFAULT_GROUP_TOL * max(1, ||H||) are merged into one
+    cluster; the cluster eigenvalue is their mean and its block holds the
     corresponding eigenvectors.
     """
     try:
@@ -84,7 +86,7 @@ def eigh(h: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecompo
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     v.flags.writeable = False
-    tol = group_tol * max(1.0, float(np.max(np.abs(w))))
+    tol = DEFAULT_GROUP_TOL * max(1.0, float(np.max(np.abs(w))))
     edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
     clusters = list(zip(edges[:-1], edges[1:]))[::-1]
     return SpectralDecomposition(
@@ -93,54 +95,52 @@ def eigh(h: np.ndarray, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecompo
     )
 
 
-def _support_size(dec: SpectralDecomposition, support_cutoff: float) -> int:
-    """Number of leading clusters with a positive eigenvalue above support_cutoff times the largest."""
-    cutoff = support_cutoff * max(dec.eigenvalues[0], 0.0)
+def _support_size(dec: SpectralDecomposition) -> int:
+    """Number of leading clusters with a positive eigenvalue above SUPPORT_CUTOFF times the largest."""
+    cutoff = SUPPORT_CUTOFF * max(dec.eigenvalues[0], 0.0)
     return sum(1 for v in dec.eigenvalues if v > cutoff and v > 0.0)
 
 
-def matrix_power_support(
-    dec: SpectralDecomposition, t: float, support_cutoff: float = SUPPORT_CUTOFF
-) -> np.ndarray:
+def matrix_power_support(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """X^t computed on the support of X: sum of lam^t V V^H over eigenvalues above cutoff.
 
-    Eigenvalues below support_cutoff relative to the largest are treated as
+    Eigenvalues below SUPPORT_CUTOFF relative to the largest are treated as
     zero, so t = 0 yields the support projection. Negative eigenvalues beyond
     the same tolerance are rejected.
     """
     lam = np.asarray(dec.eigenvalues, dtype=np.float64)
-    neg_tol = support_cutoff * max(1.0, abs(float(lam[0])))
+    neg_tol = SUPPORT_CUTOFF * max(1.0, abs(float(lam[0])))
     if float(lam[-1]) < -neg_tol:
         raise ValidationError(
             f"matrix_power_support needs a positive semidefinite input; "
             f"smallest eigenvalue {float(lam[-1])!r}"
         )
-    k = _support_size(dec, support_cutoff)
+    k = _support_size(dec)
     if k == 0:
         return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
     cols = np.hstack(dec.vectors[:k])
     return (cols * np.repeat(lam[:k] ** t, dec.ranks()[:k])) @ cols.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with a hard output-dimension cap."""
     a, b = np.asarray(a), np.asarray(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > dim_cap:
-        raise ResourceLimitError(f"tensor product dimension {out_dim} exceeds cap {dim_cap}")
+    if out_dim > DIM_CAP:
+        raise ResourceLimitError(f"tensor product dimension {out_dim} exceeds cap {DIM_CAP}")
     return np.kron(a, b)
 
 
-def tensor_power(a: np.ndarray, n: int, dim_cap: int = DIM_CAP) -> np.ndarray:
+def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold tensor power, n >= 1, subject to the dimension cap."""
     a = np.asarray(a)
     if n < 1:
         raise ValidationError(f"tensor power needs n >= 1, got {n}")
-    if a.shape[0] ** n > dim_cap:
-        raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {dim_cap}")
+    if a.shape[0] ** n > DIM_CAP:
+        raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {DIM_CAP}")
     out = a
     for _ in range(n - 1):
-        out = kron(out, a, dim_cap)
+        out = kron(out, a)
     return out
 
 
@@ -156,21 +156,18 @@ def positive_part_trace(h: np.ndarray) -> float:
 
 
 def support_overlap_table(
-    a_dec: SpectralDecomposition,
-    b_dec: SpectralDecomposition,
-    weight_cutoff: float = 1e-12,
-    support_cutoff: float = SUPPORT_CUTOFF,
+    a_dec: SpectralDecomposition, b_dec: SpectralDecomposition
 ) -> list[tuple[int, int, float, float, float]]:
     """Joint-support table of two PSD decompositions.
 
     Rows (i, j, a_i, b_j, Tr P_i Q_j) run over pairs of positive eigenvalues
-    whose projector overlap exceeds weight_cutoff, i ascending, then j.
+    whose projector overlap exceeds WEIGHT_CUTOFF, i ascending, then j.
     Tr P_i Q_j = ||V_i^H W_j||_F^2 is a block sum of the one product |V^H W|^2
     of the stacked support eigenvectors.
     """
     if a_dec.dim != b_dec.dim:
         raise ValidationError(f"dimension mismatch: {a_dec.dim} vs {b_dec.dim}")
-    ka, kb = _support_size(a_dec, support_cutoff), _support_size(b_dec, support_cutoff)
+    ka, kb = _support_size(a_dec), _support_size(b_dec)
     if ka == 0 or kb == 0:
         return []
     overlap = np.hstack(a_dec.vectors[:ka]).conj().T @ np.hstack(b_dec.vectors[:kb])
@@ -178,7 +175,7 @@ def support_overlap_table(
     starts_a = np.cumsum((0,) + a_dec.ranks()[: ka - 1])
     starts_b = np.cumsum((0,) + b_dec.ranks()[: kb - 1])
     weights = np.add.reduceat(np.add.reduceat(squares, starts_a, axis=0), starts_b, axis=1)
-    rows_i, rows_j = np.nonzero(weights > weight_cutoff)
+    rows_i, rows_j = np.nonzero(weights > WEIGHT_CUTOFF)
     return [
         (i, j, a_dec.eigenvalues[i], b_dec.eigenvalues[j], float(weights[i, j]))
         for i, j in zip(rows_i.tolist(), rows_j.tolist())
@@ -218,8 +215,8 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.array.shape[0]
 
-    def spectral(self, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
-        return eigh(self.array, group_tol)
+    def spectral(self) -> SpectralDecomposition:
+        return eigh(self.array)
 
     @staticmethod
     def pure(amplitudes: Sequence[complex]) -> "DensityMatrix":

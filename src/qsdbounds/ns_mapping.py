@@ -12,6 +12,7 @@ tests by full enumeration of types.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .divergences import PsiCurve, _logsumexp, psi_curve_from_probabilities
 from .errors import ResourceLimitError, ValidationError
@@ -44,18 +44,14 @@ class ClassicalPair:
         return psi_curve_from_probabilities(self.p, self.q)
 
 
-def build_classical_pair(
-    a_dec: SpectralDecomposition,
-    b_dec: SpectralDecomposition,
-    weight_cutoff: float = 1e-12,
-) -> ClassicalPair:
+def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:
     """ClassicalPair of two PSD operators given by spectral decompositions.
 
     Alphabet letters are pairs of eigenvalue indices with projector overlap
-    above weight_cutoff; orthogonal supports leave an empty alphabet and are
-    rejected.
+    above linalg.WEIGHT_CUTOFF; orthogonal supports leave an empty alphabet
+    and are rejected.
     """
-    rows = support_overlap_table(a_dec, b_dec, weight_cutoff)
+    rows = support_overlap_table(a_dec, b_dec)
     if not rows:
         raise ValidationError("orthogonal supports: the classical alphabet is empty")
     labels = tuple((i, j) for (i, j, _, _, _) in rows)
@@ -194,19 +190,35 @@ def halfspace_type_approximation(
     return below, above
 
 
-def _type_table(n: int, k: int, max_types: int = MAX_TYPES) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(j!) for j = 0..n by math.lgamma, read-only.
+
+    Sliced from a table kept per power-of-two length, so a sweep over
+    n = 1..n_max makes fewer than 4 n_max lgamma calls, not n_max^2 / 2.
+    """
+    return _log_factorial_table(1 << int(n).bit_length())[: n + 1]
+
+
+def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All types of n draws from k letters, in lexicographic order.
 
     Returns int32 counts of shape (T, k), T = C(n+k-1, k-1), and the log
     multinomial coefficients log(n! / prod c_i!) of shape (T,). A type is
     read off its k-1 bar positions among n+k-1 slots (stars and bars).
-    Raises ResourceLimitError when T exceeds max_types.
+    Raises ResourceLimitError when T exceeds MAX_TYPES.
     """
     if k < 1 or n < 0:
         raise ValidationError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
     total = math.comb(n + k - 1, k - 1)
-    if total > max_types:
-        raise ResourceLimitError(f"type enumeration size {total} exceeds cap {max_types}")
+    if total > MAX_TYPES:
+        raise ResourceLimitError(f"type enumeration size {total} exceeds cap {MAX_TYPES}")
     edges = np.empty((total, k + 1), dtype=np.int32)
     edges[:, 0] = -1
     edges[:, -1] = n + k - 1
@@ -217,7 +229,7 @@ def _type_table(n: int, k: int, max_types: int = MAX_TYPES) -> tuple[np.ndarray,
     ).reshape(total, k - 1)
     counts = np.diff(edges, axis=1)
     counts -= 1
-    lg = gammaln(np.arange(n + 1) + 1.0)
+    lg = _log_factorials(n)
     log_coef = np.full(total, lg[n])
     for col in counts.T:
         log_coef -= lg[col]
@@ -253,9 +265,7 @@ class ClassicalErrors(NamedTuple):
     mixed: float
 
 
-def classical_exact_errors_log(
-    p, q, n: int, a: float, max_types: int = MAX_TYPES
-) -> tuple[float, float, float]:
+def classical_exact_errors_log(p, q, n: int, a: float) -> tuple[float, float, float]:
     """(log alpha, log beta, log mixed) for the classical likelihood-ratio test.
 
     The acceptance region is {x : (1/n) sum log(p/q) over x >= a}, ties
@@ -270,7 +280,7 @@ def classical_exact_errors_log(
         raise ValidationError("p and q must be strictly positive")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    counts, log_coef = _type_table(n, pa.size, max_types)
+    counts, log_coef = _type_table(n, pa.size)
     log_p = np.log(pa)
     log_q = np.log(qa)
     stat, s_p, s_q = _type_sums(counts, np.column_stack((log_p - log_q, log_p, log_q)))
@@ -282,9 +292,7 @@ def classical_exact_errors_log(
     return log_alpha, log_beta, log_mixed
 
 
-def classical_exact_errors(
-    pair: ClassicalPair, n: int, a: float, max_types: int = MAX_TYPES
-) -> ClassicalErrors:
+def classical_exact_errors(pair: ClassicalPair, n: int, a: float) -> ClassicalErrors:
     """Exact (alpha, beta, mixed) errors of the classical test at threshold a."""
-    la, lb, lm = classical_exact_errors_log(pair.p, pair.q, n, a, max_types)
+    la, lb, lm = classical_exact_errors_log(pair.p, pair.q, n, a)
     return ClassicalErrors(alpha=math.exp(la), beta=math.exp(lb), mixed=math.exp(lm))
