@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .classical_binary import BinaryPair, rate_curve, rate_curve_csv
-from .divergences import build_psi, profile_from_curve, psi, psi_prime, psi_second
+from .divergences import build_psi, profile_from_curve, psi_moments
 from .errors import QsdError, ResourceLimitError, ValidationError
 from .exact_oracles import beta_eps_exact, np_test_errors, quantum_mixed_error_exact
 from .finite_bounds import (
@@ -161,9 +161,7 @@ def _cmd_divergences(args) -> int:
         if curve.orthogonal_supports:
             rows.append([t, -math.inf, None, None])
         else:
-            rows.append(
-                [t, psi(curve, t) / unit, psi_prime(curve, t) / unit, psi_second(curve, t) / unit]
-            )
+            rows.append([t, *(x / unit for x in psi_moments(curve, t))])
     _write_csv(args.out, "psi_curve.csv", "t,psi,psi_prime,psi_second", rows)
     return 0
 

@@ -13,8 +13,9 @@ cutoff parameter solving r = (t-1) psi'(t) - psi(t).
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +42,19 @@ class PsiCurve:
     and log_p / log_q are the logs of the weighted measures a_i Tr P_i Q_j and
     b_j Tr P_i Q_j. Empty arrays mean orthogonal supports (psi = -inf
     everywhere).
+
+    The arrays are read-only, so every quantity derived from them alone is
+    fixed for the life of the curve: `_memo` keeps the roots of the searches
+    (t_r per r, the conjugate point per a) and D, V and eta once computed, so
+    a sweep over n pays each search once. It takes no part in equality or
+    repr. Calls that raise are not memoized.
     """
 
     log_ratios: np.ndarray
     log_p: np.ndarray
     log_q: np.ndarray
     a_support_contained: bool
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -55,6 +63,25 @@ class PsiCurve:
     @property
     def orthogonal_supports(self) -> bool:
         return self.size == 0
+
+
+def _memoized(fn):
+    """Keep fn(curve, *args) in curve._memo, keyed by fn and the exact args.
+
+    A call that raises stores nothing, so it raises again on every call.
+    Threads making the first call at once may each compute the value; as it
+    depends only on the read-only arrays, they store the same float.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(curve: PsiCurve, *args):
+        key = (fn.__name__, *args)
+        memo = curve._memo
+        if key not in memo:
+            memo[key] = fn(curve, *args)
+        return memo[key]
+
+    return wrapper
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -98,13 +125,20 @@ def psi_curve_from_probabilities(p, q) -> PsiCurve:
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    """log sum exp(values) by a shifted fsum; -inf for an empty array."""
+    """log sum exp(values) by a shifted fsum; -inf for an empty array.
+
+    math.fsum is exactly rounded in any order, but terms spanning hundreds of
+    decades out of order cost it many partial sums: on the 601 binomial
+    terms of en_exact_log at n = 600 (1e-300 to 1) it took 268 us as given
+    and 30 us sorted in descending order, sort included (2-core Xeon). So the
+    terms are summed largest first; the result is the same float.
+    """
     if values.size == 0:
         return -math.inf
     m = float(np.max(values))
     if not math.isfinite(m):
         return m
-    return m + math.log(_fsum(np.exp(values - m)))
+    return m + math.log(_fsum(np.sort(np.exp(values - m))[::-1]))
 
 
 def _require_joint_support(curve: PsiCurve) -> None:
@@ -112,20 +146,39 @@ def _require_joint_support(curve: PsiCurve) -> None:
         raise ValidationError("orthogonal supports: psi is -inf everywhere")
 
 
+def _shifted_weights(curve: PsiCurve, t: float) -> tuple[float, np.ndarray]:
+    """(m, exp(log_q + t log_ratios - m)) with m the largest exponent."""
+    logw = curve.log_q + t * curve.log_ratios
+    m = float(np.max(logw))
+    return m, np.exp(logw - m)
+
+
 def psi(curve: PsiCurve, t: float) -> float:
     """psi(t) = log sum p^t q^(1-t); -inf for orthogonal supports."""
     if curve.orthogonal_supports:
         return -math.inf
-    return _logsumexp(curve.log_q + t * curve.log_ratios)
+    # summed unsorted: these terms span few decades, so sorting gains little
+    # (771 -> 640 us on the 16,384 letters of a d = 128 pair) and on a small
+    # alphabet costs more than the sum (0.3 -> 2.4 us at 4 letters)
+    m, w = _shifted_weights(curve, t)
+    return m + math.log(_fsum(w))
 
 
 def _tilted(curve: PsiCurve, t: float) -> tuple[float, np.ndarray]:
     """(psi(t), tilted measure at t) from one exponential pass; psi(t) is bit-identical to `psi`."""
-    logw = curve.log_q + t * curve.log_ratios
-    m = float(np.max(logw))
-    w = np.exp(logw - m)
+    m, w = _shifted_weights(curve, t)
     total = _fsum(w)
     return m + math.log(total), w / total
+
+
+def psi_moments(curve: PsiCurve, t: float) -> tuple[float, float, float]:
+    """(psi(t), psi'(t), psi''(t)) from one tilted pass, each bit-identical to
+    `psi`, `psi_prime` and `psi_second`."""
+    _require_joint_support(curve)
+    value, mu = _tilted(curve, t)
+    mean = _fsum(mu * curve.log_ratios)
+    dev = curve.log_ratios - mean
+    return value, mean, _fsum(mu * dev * dev)
 
 
 def psi_prime(curve: PsiCurve, t: float) -> float:
@@ -136,11 +189,7 @@ def psi_prime(curve: PsiCurve, t: float) -> float:
 
 def psi_second(curve: PsiCurve, t: float) -> float:
     """psi''(t): variance of the log-ratio statistic under the tilted measure at t."""
-    _require_joint_support(curve)
-    mu = _tilted(curve, t)[1]
-    mean = _fsum(mu * curve.log_ratios)
-    dev = curve.log_ratios - mean
-    return _fsum(mu * dev * dev)
+    return psi_moments(curve, t)[2]
 
 
 def _is_degenerate(curve: PsiCurve) -> bool:
@@ -165,6 +214,7 @@ def renyi(curve: PsiCurve, t: float) -> float:
     return psi(curve, t) / (t - 1.0)
 
 
+@_memoized
 def relative_entropy(curve: PsiCurve) -> float:
     """D(A||B) = sum p (log p - log q) over the joint support; +inf without support containment."""
     if not curve.a_support_contained:
@@ -172,6 +222,7 @@ def relative_entropy(curve: PsiCurve) -> float:
     return _fsum(np.exp(curve.log_p) * curve.log_ratios)
 
 
+@_memoized
 def relative_entropy_variance(curve: PsiCurve) -> float:
     """Second-order coefficient V = psi''(1); requires support containment."""
     if not curve.a_support_contained:
@@ -179,6 +230,7 @@ def relative_entropy_variance(curve: PsiCurve) -> float:
     return psi_second(curve, 1.0)
 
 
+@_memoized
 def _conjugate_point(curve: PsiCurve, a: float) -> float:
     """Leftmost maximizer over [0, 1] of a t - psi(t).
 
@@ -245,6 +297,7 @@ def phi_hat(curve: PsiCurve, a: float) -> float:
     return phi(curve, a) - a
 
 
+@_memoized
 def solve_t_r(curve: PsiCurve, r: float) -> float:
     """Unique t in (0, 1) with (t - 1) psi'(t) - psi(t) = r.
 
@@ -276,6 +329,7 @@ def a_r(curve: PsiCurve, r: float) -> float:
     return hoeffding_distance(curve, r) - r
 
 
+@_memoized
 def eta(curve: PsiCurve) -> float:
     """eta = 1 + exp(D_{3/2} / 2) + exp(-D_{1/2} / 2); +inf without support containment."""
     d32 = renyi(curve, 1.5)

@@ -291,18 +291,25 @@ def _quantum_types_setup(rho: DensityMatrix, sigma: DensityMatrix, n: int, param
     """Induced classical pair and method-of-types penalty shared by the quantum lower bounds.
 
     Records d in params; raises ValidationError with the reason the bound is
-    unavailable (orthogonal supports, or n < d^2 (d^2 - 1)).
+    unavailable (orthogonal supports, or n < d^2 (d^2 - 1)). The union
+    support dimension d and the induced pair's curve and minimal masses do
+    not depend on n: they are kept in rho.pair_memo(sigma), so that a sweep
+    over n reuses one curve and the searches memoized on it.
     """
-    d = _union_support_dim(rho, sigma)
+    memo = rho.pair_memo(sigma)
+    if "d" not in memo:
+        memo["d"] = _union_support_dim(rho, sigma)
+    d = memo["d"]
     card = d * d
     params["d"] = d
-    pair = build_classical_pair(rho.spectral(), sigma.spectral())
+    if "types" not in memo:
+        pair = build_classical_pair(rho.spectral(), sigma.spectral())
+        memo["types"] = (pair.psi_curve(), float(np.min(pair.p)), float(np.min(pair.q)))
+    curve, p_min, q_min = memo["types"]
     if n < card * (card - 1):
         raise ValidationError(f"needs n >= {card * (card - 1)}")
-    p_min = float(np.min(pair.p))
-    q_min = float(np.min(pair.q))
     common, c = _types_penalty(n, card, min(p_min, q_min))
-    return _TypesSetup(pair.psi_curve(), common, c, p_min, q_min)
+    return _TypesSetup(curve, common, c, p_min, q_min)
 
 
 def quantum_mixed_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int, r: float) -> BoundReport:

@@ -188,10 +188,12 @@ class DensityMatrix:
     The one place where outside input is validated: entries must be finite
     and form a square matrix, which is stored symmetrized, (M + M^H) / 2, as
     a read-only complex128 array, so array[j, k] == conj(array[k, j]) holds
-    exactly afterwards.
+    exactly afterwards. Since the array never changes, the state keeps its
+    spectral decomposition once computed, and `pair_memo` gives each partner
+    state a dict for results of the ordered pair that do not depend on n.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "_spectral", "_pair_memos")
 
     array: np.ndarray
 
@@ -210,13 +212,22 @@ class DensityMatrix:
             raise ValidationError(f"state has a negative eigenvalue: {float(w.min())!r}")
         h.flags.writeable = False
         self.array = h
+        self._spectral = None
+        self._pair_memos = {}
 
     @property
     def dim(self) -> int:
         return self.array.shape[0]
 
     def spectral(self) -> SpectralDecomposition:
-        return eigh(self.array)
+        if self._spectral is None:
+            self._spectral = eigh(self.array)
+        return self._spectral
+
+    def pair_memo(self, other: "DensityMatrix") -> dict:
+        """Memo of the ordered pair (self, other), kept on self and keyed by
+        the identity of other, which it keeps alive as long as self."""
+        return self._pair_memos.setdefault(other, {})
 
     @staticmethod
     def pure(amplitudes: Sequence[complex]) -> "DensityMatrix":

@@ -21,6 +21,7 @@ from qsdbounds import (
     profile_from_curve,
     psi,
     psi_curve_from_probabilities,
+    psi_moments,
     psi_prime,
     psi_second,
     relative_entropy,
@@ -29,6 +30,7 @@ from qsdbounds import (
     solve_t_r,
     von_neumann_entropy,
 )
+from qsdbounds.divergences import _logsumexp
 from qsdbounds.linalg import tensor_power
 
 from helpers import qubit_pairs, random_full_rank_state
@@ -425,3 +427,76 @@ def test_psi_curve_from_probabilities_validation():
         psi_curve_from_probabilities([0.9, 0.1], [0.5, -0.5])
     with pytest.raises(ValidationError):
         psi_curve_from_probabilities([0.9, 0.1], [0.5])
+
+
+def test_psi_moments_are_bit_identical_to_the_separate_transforms():
+    rng = np.random.default_rng(7)
+    rho, sig = random_full_rank_state(rng, 4), random_full_rank_state(rng, 4)
+    curve = build_psi(rho.spectral(), sig.spectral())
+    for t in np.linspace(0.0, 1.0, 11):
+        t = float(t)
+        assert psi_moments(curve, t) == (psi(curve, t), psi_prime(curve, t), psi_second(curve, t))
+    with pytest.raises(ValidationError):
+        psi_moments(build_psi(ZERO.spectral(), ONE.spectral()), 0.5)
+
+
+def test_out_of_window_rates_raise_on_every_call():
+    rng = np.random.default_rng(11)
+    curve = build_psi(random_full_rank_state(rng, 3).spectral(), random_full_rank_state(rng, 3).spectral())
+    lo_end = -psi(curve, 1.0)
+    hi_end = -psi(curve, 0.0) - psi_prime(curve, 0.0)
+    inside = 0.5 * (lo_end + hi_end)
+    t_inside = solve_t_r(curve, inside)
+    for r in (lo_end, hi_end, hi_end + 1.0, lo_end - 1.0):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValidationError) as info:
+                solve_t_r(curve, r)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+    assert solve_t_r(curve, inside) == t_inside
+    assert curve._memo == {("solve_t_r", inside): t_inside}
+    identical = build_psi(HALF.spectral(), HALF.spectral())
+    for _ in range(3):
+        with pytest.raises(DegeneracyError):
+            solve_t_r(identical, 0.1)
+    broken = build_psi(ZERO.spectral(), PLUS.spectral())
+    for _ in range(3):
+        with pytest.raises(ValidationError):
+            relative_entropy_variance(broken)
+    assert identical._memo == {} and broken._memo == {}
+
+
+def _unsorted_logsumexp(values):
+    if values.size == 0:
+        return -math.inf
+    m = float(np.max(values))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(math.fsum(np.exp(values - m).tolist()))
+
+
+def _binomial_log_terms(n):
+    k = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in k])
+    return log_comb + k * math.log(0.3) + (n - k) * math.log(0.7)
+
+
+_LSE_RNG = np.random.default_rng(2012)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _LSE_RNG.permutation(_binomial_log_terms(600)),
+        _LSE_RNG.permutation(np.concatenate((_LSE_RNG.uniform(-700.0, 0.0, 997), [-np.inf] * 3))),
+        _LSE_RNG.uniform(-40.0, 40.0, 5000),
+        np.array([-np.inf, 0.25, -np.inf]),
+        np.array([-3.5]),
+        np.array([-np.inf, -np.inf]),
+        np.array([]),
+    ],
+    ids=["binomial", "wide_with_neg_inf", "narrow", "one_finite", "single", "all_neg_inf", "empty"],
+)
+def test_logsumexp_is_the_unsorted_exactly_rounded_sum(values):
+    assert repr(_logsumexp(values)) == repr(_unsorted_logsumexp(values))

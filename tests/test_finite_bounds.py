@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from qsdbounds import (
     stein_upper_generic,
     stein_upper_intermediate,
 )
+from qsdbounds import divergences, finite_bounds, linalg
 from qsdbounds.ns_mapping import ClassicalPair
 
 from helpers import qubit_pairs
@@ -320,3 +323,74 @@ def test_bound_reports_carry_metadata():
     assert out.side == "upper"
     assert out.parameters["eps"] == 0.25
     assert out.valid and out.reason == ""
+
+
+def test_an_n_sweep_pays_each_search_once(monkeypatch):
+    # fresh states: their memos must not have been filled by another test
+    rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
+    sig = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
+    counts = {"bisect": 0, "eigh": 0, "pair": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(divergences, "bisect_decreasing", counting("bisect", divergences.bisect_decreasing))
+    monkeypatch.setattr(linalg, "eigh", counting("eigh", linalg.eigh))
+    monkeypatch.setattr(finite_bounds, "build_classical_pair",
+                        counting("pair", finite_bounds.build_classical_pair))
+    curve = build_psi(rho.spectral(), sig.spectral())
+    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    a = 0.5 * (psi_prime(curve, 0.0) + psi_prime(curve, 1.0))
+    sweep = [
+        (hoeffding_upper(curve, n, r), mixed_upper(curve, n, a).mixed,
+         quantum_chernoff_lower(rho, sig, n), quantum_mixed_lower(rho, sig, n, r))
+        for n in range(1, 81)
+    ]
+    assert all(rep.valid for row in sweep[11:] for rep in row)
+    # one bisection per (curve, r or a): t_r and the conjugate point at a on
+    # the curve; the conjugate point at 0 and t_r on the induced pair's curve
+    assert counts == {"bisect": 4, "eigh": 2, "pair": 1}
+    # the quantum bounds of one state pair read one induced curve at every n
+    induced = rho.pair_memo(sig)["types"][0]
+    assert {key[0] for key in induced._memo} == {"_conjugate_point", "solve_t_r"}
+
+
+def test_concurrent_first_calls_agree_with_a_serial_sweep():
+    def states():
+        return (DensityMatrix(np.array([[0.6, 0.25j], [-0.25j, 0.4]])),
+                DensityMatrix(np.array([[0.3, 0.1], [0.1, 0.7]])))
+
+    def sweep(rho, sig, curve, r, n_values):
+        return [(hoeffding_upper(curve, n, r), mixed_upper(curve, n, 0.0).mixed,
+                 quantum_chernoff_lower(rho, sig, n), quantum_mixed_lower(rho, sig, n, r))
+                for n in n_values]
+
+    rho, sig = states()
+    curve = build_psi(rho.spectral(), sig.spectral())
+    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    serial_rho, serial_sig = states()
+    want = sweep(serial_rho, serial_sig, build_psi(serial_rho.spectral(), serial_sig.spectral()),
+                 r, range(10, 20))
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = sweep(rho, sig, curve, r, range(10, 20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(repr(got) == repr(want) for got in results)

@@ -1,13 +1,16 @@
-"""Package-level contract: public signatures, import cost, and the README example."""
+"""Package-level contract: public signatures, import cost, and the README examples."""
+import contextlib
 import inspect
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import qsdbounds
-from qsdbounds import DensityMatrix, _search, linalg
+from qsdbounds import DensityMatrix, _search, cli, linalg
 
 # every tolerance and cap is a module constant, never a per-call option
 REMOVED_OPTIONS = {"group_tol", "weight_cutoff", "support_cutoff", "dim_cap", "max_types", "tol"}
@@ -55,3 +58,24 @@ def test_readme_library_example_runs(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=_package_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    (state,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    (tmp_path / "rho.json").write_text(state, encoding="utf-8")
+    (tmp_path / "sig.json").write_text(
+        '{"dim": 2, "matrix": [[[0.4, 0.0], [0.1, 0.05]], [[0.1, -0.05], [0.6, 0.0]]]}', encoding="utf-8")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("qsdbounds ")
+    ]
+    assert {argv[1] for argv in commands} == {
+        "divergences", "stein", "hoeffding", "chernoff", "binary", "oracle"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv[1:] + ["--out", str(tmp_path / "out")])
+        assert code == 0, argv

@@ -15,11 +15,16 @@ from qsdbounds import (
     DensityMatrix,
     build_psi,
     chernoff_distance,
+    eta,
     hoeffding_distance,
     phi,
     psi,
     psi_prime,
+    relative_entropy,
+    relative_entropy_variance,
+    solve_t_r,
 )
+from qsdbounds.divergences import _conjugate_point
 from qsdbounds.linalg import DEFAULT_GROUP_TOL, eigh, support_overlap_table
 
 from helpers import random_unitary
@@ -153,3 +158,37 @@ def test_transforms_of_psi_dominate_their_objectives_on_a_t_grid(pair):
         value = hoeffding_distance(curve, r)
         objective = (-inner * r - psis[:-1]) / (1.0 - inner)
         assert value >= np.max(objective) - slack(value)
+
+
+def _n_independent_constants(curve, rates, thresholds):
+    """t_r, conjugate points, C, D, V and eta of a curve, each by its public entry point."""
+    out = {"C": chernoff_distance(curve), "D": relative_entropy(curve), "eta": eta(curve)}
+    if curve.a_support_contained:
+        out["V"] = relative_entropy_variance(curve)
+    for a in thresholds:
+        out["conjugate", a] = _conjugate_point(curve, a)
+        out["phi", a] = phi(curve, a)
+    for r in rates:
+        out["t_r", r] = solve_t_r(curve, r)
+        out["H_r", r] = hoeffding_distance(curve, r)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_memoized_constants_are_bit_identical_to_those_of_a_fresh_curve(pair):
+    rho, sigma = pair
+    curve = build_psi(rho.spectral(), sigma.spectral())
+    assume(not curve.orthogonal_supports)
+    d0, d1 = psi_prime(curve, 0.0), psi_prime(curve, 1.0)
+    thresholds = [0.0] + [d0 + f * (d1 - d0) for f in (0.25, 0.5, 0.75)]
+    r_bot, r_top = -psi(curve, 1.0), -psi(curve, 0.0) - d0
+    rates = [max(r_bot + f * (r_top - r_bot), 0.0) for f in (0.3, 0.7)]
+    rates = [r for r in rates if r_bot < r < r_top]
+    first = _n_independent_constants(curve, rates, thresholds)
+    stored = {key[0] for key in curve._memo}
+    assert {"_conjugate_point", "relative_entropy", "eta"} <= stored
+    assert ("solve_t_r" in stored) == bool(rates)
+    again = _n_independent_constants(curve, rates, thresholds)
+    fresh = _n_independent_constants(build_psi(rho.spectral(), sigma.spectral()), rates, thresholds)
+    assert repr(again) == repr(fresh) == repr(first)
