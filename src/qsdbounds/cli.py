@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -272,7 +273,7 @@ def _add_state_args(sub) -> None:
 
 
 def _add_common_args(sub) -> None:
-    sub.add_argument("--out", default=os.environ.get("QSDBOUNDS_OUT", "."),
+    sub.add_argument("--out", default=None,
                      help="output directory (default: QSDBOUNDS_OUT or '.')")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads for n-sweeps (default: 1)")
@@ -330,8 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request of the process and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.out is None:  # read at every request, so a changed QSDBOUNDS_OUT applies
+        args.out = os.environ.get("QSDBOUNDS_OUT", ".")
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -19,19 +19,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import _MAX_ITER
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .linalg import (
-    DIM_CAP,
-    DensityMatrix,
-    _fsum,
-    matrix_power_support,
-    positive_part_trace,
-    trace_norm,
-)
+from .linalg import DIM_CAP, DensityMatrix, _fsum, matrix_power_support, trace_norm
+from .linalg import positive_part_trace  # noqa: F401  (bench/test_bench.py traces this binding)
 from .ns_mapping import _type_sums, _type_table
 
 _KERNEL_TOL = 1e-12
+_GAP_RTOL = 1e-12  # beta_eps_exact stops once primal - dual is at most this times primal
 
 Partition = tuple[int, ...]
 
@@ -143,7 +138,7 @@ def _build_generators(d: int, lam: Partition) -> np.ndarray:
     return out
 
 
-def _irrep_images(a: np.ndarray, lams: list[Partition]) -> list[np.ndarray]:
+def _irrep_images(state: DensityMatrix, lams: list[Partition]) -> list[np.ndarray]:
     """pi_lam(a) for each lam: the action of a^(tensor n) on each Schur-Weyl block.
 
     A diagram with d rows sheds its full columns: pi_lam(a) =
@@ -151,26 +146,39 @@ def _irrep_images(a: np.ndarray, lams: list[Partition]) -> list[np.ndarray]:
     W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so that every block is
     exactly Hermitian. det is the product of the eigenvalues clamped at 0, so
     rounding cannot make det^k of a rank-deficient state negative.
+
+    det and every image built, the parents included, stay in state.memo as
+    one (det, images) pair, so an n-sweep builds each image once. They are
+    built and read under _IRREPS_LOCK: threads sharing the state get the
+    same read-only arrays, whatever order they ask for n in.
     """
+    a = state.array
     d = a.shape[0]
-    det = max(float(np.prod(np.linalg.eigvalsh(a))), 0.0)
-    images: dict[Partition, np.ndarray] = {(): np.ones((1, 1), dtype=np.complex128), (1,): a}
+    with _IRREPS_LOCK:
+        if "irreps" not in state.memo:
+            det = max(float(np.prod(np.linalg.eigvalsh(a))), 0.0)
+            one = np.ones((1, 1), dtype=np.complex128)
+            one.flags.writeable = False
+            state.memo["irreps"] = (det, {(): one, (1,): a})
+        det, images = state.memo["irreps"]
 
-    def image(lam: Partition) -> np.ndarray:
-        if lam not in images:
-            if len(lam) == d:
-                full = lam[-1]
-                images[lam] = det**full * image(tuple(r - full for r in lam if r > full))
-            else:
-                w = _basis(d, lam)[0]
-                rep_mu = image(_parent(lam)[0])
-                k, f = rep_mu.shape[0], w.shape[1]
-                # (pi_mu(a) (x) a) W without forming the Kronecker product
-                s = w.T @ (rep_mu @ (a @ w.reshape(k, d, f)).reshape(k, d * f)).reshape(k * d, f)
-                images[lam] = (s + s.conj().T) / 2.0
-        return images[lam]
+        def image(lam: Partition) -> np.ndarray:
+            if lam not in images:
+                if len(lam) == d:
+                    full = lam[-1]
+                    rep = det**full * image(tuple(r - full for r in lam if r > full))
+                else:
+                    w = _basis(d, lam)[0]
+                    rep_mu = image(_parent(lam)[0])
+                    k, f = rep_mu.shape[0], w.shape[1]
+                    # (pi_mu(a) (x) a) W without forming the Kronecker product
+                    s = w.T @ (rep_mu @ (a @ w.reshape(k, d, f)).reshape(k, d * f)).reshape(k * d, f)
+                    rep = (s + s.conj().T) / 2.0
+                rep.flags.writeable = False
+                images[lam] = rep
+            return images[lam]
 
-    return [image(lam) for lam in lams]
+        return [image(lam) for lam in lams]
 
 
 def _block_pair(
@@ -183,7 +191,8 @@ def _block_pair(
     A^(tensor n) acts on block lam as the GL(d) irrep pi_lam(A), repeated
     f^lam times (the number of standard Young tableaux of shape lam). For
     qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The cap
-    d^n <= DIM_CAP bounds n for every d.
+    d^n <= DIM_CAP bounds n for every d. The blocks are read-only arrays
+    kept on each state (see `_irrep_images`).
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -193,7 +202,7 @@ def _block_pair(
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
     lams = _partitions(n, rho.dim)
     mults = [_tableaux(lam) for lam in lams]
-    return list(zip(mults, _irrep_images(rho.array, lams), _irrep_images(sigma.array, lams)))
+    return list(zip(mults, _irrep_images(rho, lams), _irrep_images(sigma, lams)))
 
 
 def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> float:
@@ -215,6 +224,27 @@ class NPTestErrors(NamedTuple):
     degenerate_kernel: bool
 
 
+def _np_test(blocks: list[tuple[int, np.ndarray, np.ndarray]], lam: float, tol: float) -> NPTestErrors:
+    """Errors of the projector T onto the eigenvectors of lam R - S with eigenvalue above tol.
+
+    alpha = Tr rho_n (I - T) and beta = Tr sigma_n T are sums over the
+    blocks (m, R, S) with their multiplicities, one eigendecomposition per
+    block; the flag reports an eigenvalue within tol of zero.
+    """
+    accepted_r: list[float] = []
+    accepted_s: list[float] = []
+    degenerate = False
+    for m, r, s in blocks:
+        w, v = np.linalg.eigh(lam * r - s)
+        degenerate = degenerate or bool(np.any(np.abs(w) <= tol))
+        cols = v[:, w > tol]
+        accepted_r += (m * np.einsum("ij,ij->j", cols.conj(), r @ cols).real).tolist()
+        accepted_s += (m * np.einsum("ij,ij->j", cols.conj(), s @ cols).real).tolist()
+    alpha = min(max(1.0 - math.fsum(accepted_r), 0.0), 1.0)
+    beta = min(max(math.fsum(accepted_s), 0.0), 1.0)
+    return NPTestErrors(alpha=alpha, beta=beta, degenerate_kernel=degenerate)
+
+
 def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> NPTestErrors:
     """Errors of the projector test onto the strictly positive part of exp(-n a) rho_n - sigma_n.
 
@@ -223,20 +253,49 @@ def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -
     1e-12 of zero are excluded from T and flagged, since any split of the
     kernel is optimal and the reported pair is then one choice among several.
     """
+    return _np_test(_block_pair(rho, sigma, n), math.exp(-n * a), _KERNEL_TOL)
+
+
+def _beta_eps_bounds(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> tuple[float, float]:
+    """(dual, primal): a lower and an upper bound on beta_{n,eps}, each the value of a test pair.
+
+    The dual h(lam) = (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ is concave,
+    and beta_{n,eps} is its maximum over lam >= 0. A test T with errors
+    (alpha, beta) gives the line beta + lam (alpha - eps), which lies above
+    h everywhere and touches it where T = {lam rho_n - sigma_n > 0}. The
+    search keeps a bracket of two such tests, lo with alpha > eps and hi
+    with alpha <= eps, starting from reject-all (1, 0) and accept-all
+    (0, 1). Each round goes to the crossing lam of their lines, where the
+    line value is the beta of the randomized mix of the two tests with
+    alpha = eps (the primal bound), evaluates h there by the projector test
+    (the dual bound), and replaces the bracket end on the same side. It
+    stops when primal - dual is at most _GAP_RTOL of primal, or when a
+    round no longer shrinks that gap (the rounding floor). The test keeps
+    every eigenvalue w > 0 of each block, with no absolute kernel
+    tolerance: the maximizer lam* of a tiny beta is itself tiny.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     blocks = _block_pair(rho, sigma, n)
-    kappa = math.exp(-n * a)
-    accepted_r: list[float] = []
-    accepted_s: list[float] = []
-    degenerate = False
-    for m, r, s in blocks:
-        w, v = np.linalg.eigh(kappa * r - s)
-        degenerate = degenerate or bool(np.any(np.abs(w) <= _KERNEL_TOL))
-        cols = v[:, w > _KERNEL_TOL]
-        accepted_r += (m * np.einsum("ij,ij->j", cols.conj(), r @ cols).real).tolist()
-        accepted_s += (m * np.einsum("ij,ij->j", cols.conj(), s @ cols).real).tolist()
-    alpha = min(max(1.0 - math.fsum(accepted_r), 0.0), 1.0)
-    beta = min(max(math.fsum(accepted_s), 0.0), 1.0)
-    return NPTestErrors(alpha=alpha, beta=beta, degenerate_kernel=degenerate)
+    support = matrix_power_support(sigma.spectral(), 0.0)
+    if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
+        return 0.0, 0.0
+    lo = NPTestErrors(alpha=1.0, beta=0.0, degenerate_kernel=False)
+    hi = NPTestErrors(alpha=0.0, beta=1.0, degenerate_kernel=False)
+    dual, primal, gap = -math.inf, math.inf, math.inf
+    for _ in range(_MAX_ITER):
+        lam = (hi.beta - lo.beta) / (lo.alpha - hi.alpha)
+        primal = min(primal, lo.beta + lam * (lo.alpha - eps))
+        test = _np_test(blocks, lam, 0.0)
+        dual = max(dual, test.beta + lam * (test.alpha - eps))
+        if primal - dual <= _GAP_RTOL * primal or primal - dual >= gap:
+            return dual, primal
+        gap = primal - dual
+        if test.alpha > eps:
+            lo = test
+        else:
+            hi = test
+    raise ConvergenceError("the Neyman-Pearson test search did not close its gap")
 
 
 def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
@@ -244,37 +303,17 @@ def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float)
 
     beta is exactly 0 when (Tr rho Pi)^n <= eps for Pi the support projector
     of sigma: the test I - Pi^(tensor n) then meets the budget, and no test
-    with zero type-II error does better. Otherwise it is computed through
-    the dual
+    with zero type-II error does better. Otherwise it is the maximum of the
+    dual
 
-        beta = sup over lam >= 0 of (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ ,
+        h(lam) = (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ ,  lam >= 0,
 
-    whose objective is concave in lam (piecewise linear only when rho and
-    sigma commute), maximized by bracketing doubling plus golden-section
-    refinement. The positive-part trace is the multiplicity-weighted sum
-    over the blocks of `_block_pair`. The result is clamped to [0, 1].
+    found by a cutting-plane search over Neyman-Pearson projector tests on
+    the blocks of `_block_pair` (see `_beta_eps_bounds`). Returns the dual
+    value, the largest h found, clamped to [0, 1].
     """
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    blocks = _block_pair(rho, sigma, n)
-    support = matrix_power_support(sigma.spectral(), 0.0)
-    if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
-        return 0.0
-
-    def objective(lam: float) -> float:
-        positive = math.fsum([m * positive_part_trace(lam * r - s) for m, r, s in blocks])
-        return (1.0 - eps) * lam - positive
-
-    lam_hi = 1.0
-    for _ in range(200):
-        if objective(2.0 * lam_hi) <= objective(lam_hi):
-            break
-        lam_hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the dual maximizer")
-    lam_hi *= 2.0
-    _, value = golden_max(objective, 0.0, lam_hi, 1e-10 * max(1.0, lam_hi))
-    return min(max(value, 0.0), 1.0)
+    dual, _ = _beta_eps_bounds(rho, sigma, n, eps)
+    return min(max(dual, 0.0), 1.0)
 
 
 def classical_beta_eps_exact(p, q, n: int, eps: float) -> float:

@@ -189,13 +189,16 @@ class DensityMatrix:
     and form a square matrix, which is stored symmetrized, (M + M^H) / 2, as
     a read-only complex128 array, so array[j, k] == conj(array[k, j]) holds
     exactly afterwards. Since the array never changes, the state keeps its
-    spectral decomposition once computed, and `pair_memo` gives each partner
-    state a dict for results of the ordered pair that do not depend on n.
+    spectral decomposition once computed, `memo` is a dict for other results
+    of the state alone (`exact_oracles` keeps its Schur-Weyl block images
+    there), and `pair_memo` gives each partner state a dict for results of
+    the ordered pair that do not depend on n.
     """
 
-    __slots__ = ("array", "_spectral", "_pair_memos")
+    __slots__ = ("array", "memo", "_spectral", "_pair_memos")
 
     array: np.ndarray
+    memo: dict
 
     def __init__(self, matrix) -> None:
         a = np.array(matrix, dtype=np.complex128)
@@ -212,6 +215,7 @@ class DensityMatrix:
             raise ValidationError(f"state has a negative eigenvalue: {float(w.min())!r}")
         h.flags.writeable = False
         self.array = h
+        self.memo = {}
         self._spectral = None
         self._pair_memos = {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -30,18 +30,25 @@ MAX_TYPES = 2_000_000
 
 @dataclass(frozen=True)
 class ClassicalPair:
-    """Weighted measure pair on the joint-support alphabet; shared support by construction."""
+    """Weighted measure pair on the joint-support alphabet; shared support by construction.
+
+    The pair keeps its psi curve once built, so a sweep over n reuses the
+    searches memoized on it; the curve takes no part in equality or repr.
+    """
 
     labels: tuple[tuple[int, int], ...]
     p: np.ndarray
     q: np.ndarray
+    _curve: PsiCurve | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def psi_curve(self) -> PsiCurve:
-        return psi_curve_from_probabilities(self.p, self.q)
+        if self._curve is None:
+            object.__setattr__(self, "_curve", psi_curve_from_probabilities(self.p, self.q))
+        return self._curve
 
 
 def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:

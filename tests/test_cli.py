@@ -269,6 +269,14 @@ def test_out_env_override(tmp_path, monkeypatch):
     assert (target / "binary_rate.csv").exists()
 
 
+def test_out_env_is_read_at_every_call(tmp_path, monkeypatch):
+    # the parser is built once per process; QSDBOUNDS_OUT must still be read per call
+    for name in ("first", "second"):
+        monkeypatch.setenv("QSDBOUNDS_OUT", str(tmp_path / name))
+        assert main(["binary", "--p", "0.2", "--q", "0.6", "--n-max", "3"]) == 0
+        assert (tmp_path / name / "binary_rate.csv").exists()
+
+
 def test_written_paths_printed(tmp_path, pair_files, capsys):
     rho_f, sig_f = pair_files
     out = tmp_path / "out"

@@ -359,6 +359,28 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
     assert {key[0] for key in induced._memo} == {"_conjugate_point", "solve_t_r"}
 
 
+def test_a_classical_lower_sweep_solves_t_r_once(monkeypatch):
+    calls = [0]
+    bisect = divergences.bisect_decreasing
+
+    def counting(*args):
+        calls[0] += 1
+        return bisect(*args)
+
+    monkeypatch.setattr(divergences, "bisect_decreasing", counting)
+    pair = ClassicalPair(labels=((0, 0), (1, 1)), p=np.array([0.8, 0.2]), q=np.array([0.3, 0.7]))
+    curve = pair.psi_curve()
+    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    sweep = [classical_lower(pair, n, r) for n in range(2, 81)]
+    assert all(out.alpha.valid and out.beta.valid for out in sweep)
+    # the pair keeps one curve, so t_r is solved at the first n only
+    assert calls[0] == 1
+    assert pair.psi_curve() is curve
+    # the kept curve takes no part in equality or repr
+    assert pair == ClassicalPair(labels=pair.labels, p=pair.p, q=pair.q)
+    assert "_curve" not in repr(pair)
+
+
 def test_concurrent_first_calls_agree_with_a_serial_sweep():
     def states():
         return (DensityMatrix(np.array([[0.6, 0.25j], [-0.25j, 0.4]])),
