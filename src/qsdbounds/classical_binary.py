@@ -16,9 +16,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divergences import _logsumexp, chernoff_distance, psi_curve_from_probabilities
+from .divergences import _logsumexp_rows, chernoff_distance, psi_curve_from_probabilities
 from .errors import DegeneracyError, ValidationError
 from .ns_mapping import _log_factorials
+
+_ROW_BLOCK = 64  # rows of n per log-domain table of e_n
 
 
 @dataclass(frozen=True)
@@ -36,16 +38,34 @@ class BinaryPair:
             object.__setattr__(self, "q", 1.0 - self.q)
 
 
+def _en_exact_log_range(bp: BinaryPair, a: float, first: int, last: int) -> np.ndarray:
+    """log e_n(a) for n = first..last, accumulated in the log domain term by term.
+
+    The terms log C(n,k) + min(null, alt) fill a table of _ROW_BLOCK rows
+    of n at a time, with -inf past k = n, and each row is summed by
+    `_logsumexp_rows`.
+    """
+    lp, l1p = math.log(bp.p), math.log1p(-bp.p)
+    lq, l1q = math.log(bp.q), math.log1p(-bp.q)
+    lg = _log_factorials(last)
+    blocks = []
+    for start in range(first, last + 1, _ROW_BLOCK):
+        n = np.arange(start, min(start + _ROW_BLOCK, last + 1))[:, None]
+        k = np.arange(n[-1, 0] + 1)
+        inside = k <= n
+        nk = np.where(inside, n - k, 0)
+        log_comb = lg[n] - lg[k] - lg[nk]
+        null = -n * a + log_comb + k * lp + nk * l1p
+        alt = log_comb + k * lq + nk * l1q
+        blocks.append(_logsumexp_rows(np.where(inside, np.minimum(null, alt), -math.inf)))
+    return np.concatenate(blocks) - math.log(2.0)
+
+
 def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
     """log e_n(a), accumulated in the log domain term by term."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    k = np.arange(n + 1)
-    lg = _log_factorials(n)
-    log_comb = lg[n] - lg - lg[::-1]
-    null = -n * a + log_comb + k * math.log(bp.p) + (n - k) * math.log1p(-bp.p)
-    alt = log_comb + k * math.log(bp.q) + (n - k) * math.log1p(-bp.q)
-    return _logsumexp(np.minimum(null, alt)) - math.log(2.0)
+    return float(_en_exact_log_range(bp, a, n, n)[0])
 
 
 def en_exact(bp: BinaryPair, n: int, a: float) -> float:
@@ -90,25 +110,39 @@ class EnBounds(NamedTuple):
     upper: float
 
 
+def _en_bounds_range(bp: BinaryPair, a: float, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) of `en_bounds` for n = first..last, one betainc call per column.
+
+    The crossover s does not depend on n, so the window is checked once.
+    """
+    s = crossover_s(bp, a)
+    if not 0.0 < s < 1.0:
+        raise ValidationError(f"threshold outside the admissible window: s = {s!r}")
+    from scipy.special import betainc
+
+    n = np.arange(first, last + 1)
+    ns = n * s
+    nc = n - ns
+    # math.exp, not np.exp: the two differ by 1 ulp on some arguments
+    w = np.array([math.exp(-m * a) for m in range(first, last + 1)])
+    lower = (betainc(nc + 1.0, ns, 1.0 - bp.q) + w * betainc(ns + 1.0, nc, bp.p)) / 2.0
+    upper = (betainc(nc, ns + 1.0, 1.0 - bp.q) + w * betainc(ns, nc + 1.0, bp.p)) / 2.0
+    return lower, upper
+
+
 def en_bounds(bp: BinaryPair, n: int, a: float) -> EnBounds:
     """Two-sided closed-form bounds on e_n(a):
 
         lower = (I_{1-q}(n(1-s)+1, ns) + exp(-n a) I_p(ns+1, n(1-s))) / 2
         upper = (I_{1-q}(n(1-s),  ns+1) + exp(-n a) I_p(ns,  n(1-s)+1)) / 2
 
-    with s the crossover fraction, which must lie strictly inside (0, 1).
+    with I the regularized incomplete beta of `inc_beta_reg` and s the
+    crossover fraction, which must lie strictly inside (0, 1).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    s = crossover_s(bp, a)
-    if not 0.0 < s < 1.0:
-        raise ValidationError(f"threshold outside the admissible window: s = {s!r}")
-    ns = n * s
-    nc = n - ns
-    w = math.exp(-n * a)
-    lower = (inc_beta_reg(1.0 - bp.q, nc + 1.0, ns) + w * inc_beta_reg(bp.p, ns + 1.0, nc)) / 2.0
-    upper = (inc_beta_reg(1.0 - bp.q, nc, ns + 1.0) + w * inc_beta_reg(bp.p, ns, nc + 1.0)) / 2.0
-    return EnBounds(lower=lower, upper=upper)
+    lower, upper = _en_bounds_range(bp, a, n, n)
+    return EnBounds(lower=float(lower[0]), upper=float(upper[0]))
 
 
 def incbeta_monotonicity_check(z: float, n: float, grid_points: int = 99) -> bool:
@@ -128,27 +162,29 @@ class RateCurveRow(NamedTuple):
     chernoff: float
 
 
+def _neg_log_rate(x: float, n: int) -> float:
+    """-log(x)/n, NaN where an envelope underflowed to 0."""
+    return -math.log(x) / n if x > 0.0 else math.nan
+
+
 def rate_curve(bp: BinaryPair, a: float, n_max: int) -> list[RateCurveRow]:
     """Error-rate table for n = 1..n_max: -log(e_n)/n, its two-sided bounds
     from en_bounds (upper bound on e_n gives the lower rate), and the
     Chernoff constant. Bound columns are NaN when the crossover is outside
-    (0, 1)."""
+    (0, 1), and a bound cell is NaN where its envelope underflows to 0."""
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
     curve = psi_curve_from_probabilities([bp.p, 1.0 - bp.p], [bp.q, 1.0 - bp.q])
     chern, _ = chernoff_distance(curve)
-    rows = []
-    for n in range(1, n_max + 1):
-        rate_exact = -en_exact_log(bp, n, a) / n
-        try:
-            lo, up = en_bounds(bp, n, a)
-            rate_lower = -math.log(up) / n
-            rate_upper = -math.log(lo) / n
-        except (DegeneracyError, ValidationError):
-            rate_lower = math.nan
-            rate_upper = math.nan
-        rows.append(RateCurveRow(n, rate_exact, rate_lower, rate_upper, chern))
-    return rows
+    ns = range(1, n_max + 1)
+    rate_exact = (-_en_exact_log_range(bp, a, 1, n_max) / np.arange(1, n_max + 1)).tolist()
+    try:
+        lower, upper = _en_bounds_range(bp, a, 1, n_max)
+        rate_lower = map(_neg_log_rate, upper.tolist(), ns)
+        rate_upper = map(_neg_log_rate, lower.tolist(), ns)
+    except (DegeneracyError, ValidationError):
+        rate_lower = rate_upper = [math.nan] * n_max
+    return [RateCurveRow(*row, chern) for row in zip(ns, rate_exact, rate_lower, rate_upper)]
 
 
 def _csv_cell(x: float) -> str:

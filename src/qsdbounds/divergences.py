@@ -124,21 +124,34 @@ def psi_curve_from_probabilities(p, q) -> PsiCurve:
     )
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    """log sum exp(values) by a shifted fsum; -inf for an empty array.
+def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
+    """log sum exp over each row of a 2-D array by a shifted fsum; -inf for empty rows.
 
     math.fsum is exactly rounded in any order, but terms spanning hundreds of
     decades out of order cost it many partial sums: on the 601 binomial
-    terms of en_exact_log at n = 600 (1e-300 to 1) it took 268 us as given
-    and 30 us sorted in descending order, sort included (2-core Xeon). So the
-    terms are summed largest first; the result is the same float.
+    terms of e_n at n = 600 (1e-300 to 1) it took 268 us as given and 30 us
+    sorted in descending order, sort included (2-core Xeon). So the rows are
+    shifted, exponentiated and sorted as one array and each row is summed
+    largest first; the result is the same float. Each row's log is
+    math.log, which np.log can miss by 1 ulp. A row whose maximum is not
+    finite gives that maximum.
     """
-    if values.size == 0:
-        return -math.inf
-    m = float(np.max(values))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(_fsum(np.sort(np.exp(values - m))[::-1]))
+    out = np.full(values.shape[0], -math.inf)
+    if values.shape[1] == 0:
+        return out
+    m = values.max(axis=1)
+    finite = np.isfinite(m)
+    out[~finite] = m[~finite]
+    terms = np.exp(values - np.where(finite, m, 0.0)[:, None])
+    terms.sort(axis=1)
+    for i in np.flatnonzero(finite):
+        out[i] = m[i] + math.log(_fsum(terms[i, ::-1]))
+    return out
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    """log sum exp(values) of a 1-D array: the one-row case of `_logsumexp_rows`."""
+    return float(_logsumexp_rows(values.reshape(1, -1))[0])
 
 
 def _require_joint_support(curve: PsiCurve) -> None:

@@ -13,6 +13,7 @@ trace functionals are multiplicity-weighted sums over the blocks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Callable, NamedTuple
@@ -50,7 +51,7 @@ def _cached(kind: str, d: int, lam: Partition, build: Callable[[int, Partition],
         return _IRREPS[key]
 
 
-def _partitions(n: int, rows: int) -> list[Partition]:
+def _partitions(n: int, rows: int) -> tuple[Partition, ...]:
     """Partitions of n into at most `rows` parts, in descending lexicographic order."""
 
     def extend(rest: int, cap: int, left: int):
@@ -61,7 +62,7 @@ def _partitions(n: int, rows: int) -> list[Partition]:
                 for tail in extend(rest - first, first, left - 1):
                     yield (first, *tail)
 
-    return list(extend(n, n, rows))
+    return tuple(extend(n, n, rows))
 
 
 def _tableaux(lam: Partition) -> int:
@@ -69,6 +70,13 @@ def _tableaux(lam: Partition) -> int:
     cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
     hooks = math.prod(r - j + cols[j] - i - 1 for i, r in enumerate(lam) for j in range(r))
     return math.factorial(sum(lam)) // hooks
+
+
+@functools.cache
+def _block_shapes(n: int, d: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The partitions of n with at most d rows and their multiplicities f^lam."""
+    lams = _partitions(n, d)
+    return lams, tuple(_tableaux(lam) for lam in lams)
 
 
 def _parent(lam: Partition) -> tuple[Partition, int]:
@@ -138,7 +146,7 @@ def _build_generators(d: int, lam: Partition) -> np.ndarray:
     return out
 
 
-def _irrep_images(state: DensityMatrix, lams: list[Partition]) -> list[np.ndarray]:
+def _irrep_images(state: DensityMatrix, lams: tuple[Partition, ...]) -> list[np.ndarray]:
     """pi_lam(a) for each lam: the action of a^(tensor n) on each Schur-Weyl block.
 
     A diagram with d rows sheds its full columns: pi_lam(a) =
@@ -200,8 +208,7 @@ def _block_pair(
         raise ValidationError(f"need n >= 1, got {n}")
     if rho.dim**n > DIM_CAP:
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
-    lams = _partitions(n, rho.dim)
-    mults = [_tableaux(lam) for lam in lams]
+    lams, mults = _block_shapes(n, rho.dim)
     return list(zip(mults, _irrep_images(rho, lams), _irrep_images(sigma, lams)))
 
 

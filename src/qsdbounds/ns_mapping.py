@@ -16,7 +16,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -213,29 +212,39 @@ def _log_factorials(n: int) -> np.ndarray:
     return _log_factorial_table(1 << int(n).bit_length())[: n + 1]
 
 
+def _type_counts(n: int, k: int) -> np.ndarray:
+    """The (T, k) int32 counts of `_type_table`, grown one letter at a time.
+
+    Stars and bars: each partial type with r draws left becomes r + 1 rows,
+    giving the next letter 0..r in turn, and the last letter takes what
+    remains, so the rows come out in lexicographic order.
+    """
+    cols: list[np.ndarray] = []
+    left = np.full(1, n, dtype=np.int32)
+    for _ in range(k - 1):
+        reps = left + 1
+        first = np.cumsum(reps, dtype=np.int32) - reps
+        letter = np.arange(first[-1] + reps[-1], dtype=np.int32)
+        letter -= np.repeat(first, reps)
+        cols = [np.repeat(col, reps) for col in cols] + [letter]
+        left = np.repeat(left, reps)
+        left -= letter
+    return np.column_stack(cols + [left])
+
+
 def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All types of n draws from k letters, in lexicographic order.
 
     Returns int32 counts of shape (T, k), T = C(n+k-1, k-1), and the log
-    multinomial coefficients log(n! / prod c_i!) of shape (T,). A type is
-    read off its k-1 bar positions among n+k-1 slots (stars and bars).
-    Raises ResourceLimitError when T exceeds MAX_TYPES.
+    multinomial coefficients log(n! / prod c_i!) of shape (T,). Raises
+    ResourceLimitError when T exceeds MAX_TYPES.
     """
     if k < 1 or n < 0:
         raise ValidationError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
     total = math.comb(n + k - 1, k - 1)
     if total > MAX_TYPES:
         raise ResourceLimitError(f"type enumeration size {total} exceeds cap {MAX_TYPES}")
-    edges = np.empty((total, k + 1), dtype=np.int32)
-    edges[:, 0] = -1
-    edges[:, -1] = n + k - 1
-    edges[:, 1:-1] = np.fromiter(
-        chain.from_iterable(combinations(range(n + k - 1), k - 1)),
-        dtype=np.int32,
-        count=total * (k - 1),
-    ).reshape(total, k - 1)
-    counts = np.diff(edges, axis=1)
-    counts -= 1
+    counts = _type_counts(n, k)
     lg = _log_factorials(n)
     log_coef = np.full(total, lg[n])
     for col in counts.T:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from qsdbounds import (
     BinaryPair,
     DegeneracyError,
     ValidationError,
+    chernoff_distance,
     classical_exact_errors,
     crossover_s,
     en_bounds,
@@ -15,9 +18,11 @@ from qsdbounds import (
     en_exact_log,
     inc_beta_reg,
     incbeta_monotonicity_check,
+    psi_curve_from_probabilities,
     rate_curve,
     rate_curve_csv,
 )
+from qsdbounds.classical_binary import _ROW_BLOCK
 from qsdbounds.ns_mapping import ClassicalPair
 
 from helpers import inc_beta_quadrature
@@ -254,3 +259,56 @@ def test_rate_curve_csv_layout():
 def test_rate_curve_rejects_bad_n_max():
     with pytest.raises(ValidationError):
         rate_curve(BinaryPair(0.2, 0.6), 0.0, 0)
+
+
+def _reference_rows(bp, a, n_max):
+    """rate_curve rows computed one n at a time: the log-domain sum of e_n by
+    math.fsum and four scalar betainc calls per n, NaN where an envelope is 0."""
+    curve = psi_curve_from_probabilities([bp.p, 1.0 - bp.p], [bp.q, 1.0 - bp.q])
+    chern, _ = chernoff_distance(curve)
+    try:
+        s = crossover_s(bp, a)
+    except DegeneracyError:
+        s = math.nan
+    rows = []
+    for n in range(1, n_max + 1):
+        k = np.arange(n + 1)
+        log_comb = np.array([math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) for j in k])
+        null = -n * a + log_comb + k * math.log(bp.p) + (n - k) * math.log1p(-bp.p)
+        alt = log_comb + k * math.log(bp.q) + (n - k) * math.log1p(-bp.q)
+        terms = np.minimum(null, alt)
+        m = float(np.max(terms))
+        log_en = m + math.log(math.fsum(np.exp(terms - m).tolist())) - math.log(2.0)
+        rate_lower = rate_upper = math.nan
+        if 0.0 < s < 1.0:
+            ns, nc, w = n * s, n - n * s, math.exp(-n * a)
+            lo = (float(betainc(nc + 1.0, ns, 1.0 - bp.q)) + w * float(betainc(ns + 1.0, nc, bp.p))) / 2.0
+            up = (float(betainc(nc, ns + 1.0, 1.0 - bp.q)) + w * float(betainc(ns, nc + 1.0, bp.p))) / 2.0
+            rate_lower = -math.log(up) / n if up > 0.0 else math.nan
+            rate_upper = -math.log(lo) / n if lo > 0.0 else math.nan
+        rows.append((n, -log_en / n, rate_lower, rate_upper, chern))
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.001, 0.999),
+    q=st.floats(0.001, 0.999),
+    same=st.booleans(),
+    a=st.floats(-1.0, 1.0),
+    n_max=st.integers(1, 2 * _ROW_BLOCK + 3),
+)
+@example(p=0.25, q=0.75, same=False, a=5.0, n_max=3)  # threshold outside the window
+@example(p=0.3, q=0.3, same=True, a=0.0, n_max=_ROW_BLOCK + 1)  # p = q
+@example(p=0.2, q=0.6, same=False, a=0.0, n_max=1)
+@example(p=0.2, q=0.6, same=False, a=0.05, n_max=2 * _ROW_BLOCK + 1)
+@example(p=0.001, q=0.999, same=False, a=0.0, n_max=300)  # envelopes underflow to 0
+def test_rate_curve_rows_equal_the_per_n_reference_bit_for_bit(p, q, same, a, n_max):
+    bp = BinaryPair(p, p if same else q)
+    got = rate_curve(bp, a, n_max)
+    want = _reference_rows(bp, a, n_max)
+    assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+    # the one-n functions are the same computation
+    for n in {1, n_max}:
+        assert repr(-en_exact_log(bp, n, a) / n) == repr(want[n - 1][1])
+

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qsdbounds import BinaryPair, DensityMatrix, rate_curve, rate_curve_csv
+from qsdbounds import BinaryPair, DensityMatrix, en_bounds, rate_curve, rate_curve_csv
 from qsdbounds.cli import main, parse_state_file
 
 from helpers import random_full_rank_state, state_to_json_dict
@@ -171,6 +171,21 @@ def test_binary_matches_library_curve(tmp_path):
                  "--n-max", "6", "--out", str(out)]) == 0
     expected = rate_curve_csv(rate_curve(BinaryPair(0.25, 0.75), 0.0, 6))
     assert (out / "binary_rate.csv").read_text() == expected
+
+
+def test_binary_leaves_underflowed_envelope_cells_empty(tmp_path):
+    out = tmp_path / "out"
+    assert main(["binary", "--p", "0.001", "--q", "0.999", "--n-max", "400", "--out", str(out)]) == 0
+    lines = (out / "binary_rate.csv").read_text().splitlines()[1:]
+    assert len(lines) == 400
+    bp = BinaryPair(0.001, 0.999)
+    for line in lines:
+        n, exact, lower, upper, _ = line.split(",")
+        lo, up = en_bounds(bp, int(n), 0.0)
+        assert math.isfinite(float(exact))
+        assert (lower == "") == (up == 0.0)
+        assert (upper == "") == (lo == 0.0)
+    assert lines[-1].split(",")[3] == "" and lines[0].split(",")[3] != ""
 
 
 def test_hoeffding_csv_and_invalid_rate(tmp_path, pair_files):

@@ -30,7 +30,7 @@ from qsdbounds import (
     solve_t_r,
     von_neumann_entropy,
 )
-from qsdbounds.divergences import _logsumexp
+from qsdbounds.divergences import _logsumexp, _logsumexp_rows
 from qsdbounds.linalg import tensor_power
 
 from helpers import qubit_pairs, random_full_rank_state
@@ -500,3 +500,15 @@ _LSE_RNG = np.random.default_rng(2012)
 )
 def test_logsumexp_is_the_unsorted_exactly_rounded_sum(values):
     assert repr(_logsumexp(values)) == repr(_unsorted_logsumexp(values))
+
+
+def test_logsumexp_rows_is_the_one_row_sum_of_each_row():
+    terms = _binomial_log_terms(40)
+    rows = np.full((5, 44), -np.inf)
+    rows[0, :41] = terms
+    rows[1, 3:] = _LSE_RNG.uniform(-700.0, 0.0, 41)
+    rows[2, 7] = np.inf
+    rows[4, :] = _LSE_RNG.uniform(-40.0, 40.0, 44)
+    got = _logsumexp_rows(rows)
+    assert [repr(x) for x in got.tolist()] == [repr(_unsorted_logsumexp(row)) for row in rows]
+    assert _logsumexp_rows(np.empty((3, 0))).tolist() == [-math.inf] * 3

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ from qsdbounds import (
     sequence_type,
     type_class_log_probability,
 )
+
+from qsdbounds.ns_mapping import _type_table
 
 from helpers import brute_force_classical_errors, qubit_pairs
 
@@ -155,6 +157,20 @@ def test_iter_types_counts():
     assert types == sorted(t for t in product(range(6), repeat=3) if sum(t) == 5)
     assert list(iter_types(4, 1)) == [(4,)]
     assert list(iter_types(0, 2)) == [(0, 0)]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_type_table_is_the_stars_and_bars_enumeration(k):
+    for n in range(13):
+        total = math.comb(n + k - 1, k - 1)
+        bars = np.array(list(combinations(range(n + k - 1), k - 1)), dtype=np.int64).reshape(total, k - 1)
+        edges = np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), n + k - 1)))
+        counts, log_coef = _type_table(n, k)
+        assert counts.dtype == np.int32
+        np.testing.assert_array_equal(counts, np.diff(edges, axis=1) - 1)
+        lg = [math.lgamma(j + 1.0) for j in range(n + 1)]
+        want = [math.fsum([lg[n]] + [-lg[c] for c in row]) for row in counts.tolist()]
+        np.testing.assert_allclose(log_coef, want, rtol=0.0, atol=1e-12)
 
 
 def test_classical_exact_errors_identical_distributions():
