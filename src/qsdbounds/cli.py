@@ -16,14 +16,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .classical_binary import BinaryPair, rate_curve, rate_curve_csv
 from .divergences import build_psi, profile_from_curve, psi_moments
 from .errors import QsdError, ResourceLimitError, ValidationError
-from .exact_oracles import beta_eps_exact, np_test_errors, quantum_mixed_error_exact
+from .exact_oracles import _within_cap, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
 from .finite_bounds import (
     STEIN_VARIANTS,
     hoeffding_upper,
@@ -131,13 +130,6 @@ def _write_json(out_dir: str, name: str, payload: dict) -> None:
     _write_text(out_dir, name, json.dumps(cleaned, indent=2, sort_keys=True) + "\n")
 
 
-def _pool_map(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cmd_divergences(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
@@ -172,15 +164,17 @@ def _cmd_stein(args) -> int:
     sigma = parse_state_file(args.sigma)
     curve = build_psi(rho.spectral(), sigma.spectral())
 
+    ns = range(1, args.n_max + 1)
+    capped = [n for n in ns if _within_cap(rho.dim, n)]
+    betas = beta_eps_exact(rho, sigma, capped, args.eps).tolist()
+
     def row(n: int) -> list:
         lower = stein_lower(curve, n, args.eps, args.variant)
         upper = stein_upper(curve, n, args.eps, args.variant)
-        try:
-            beta = beta_eps_exact(rho, sigma, n, args.eps)
-        except ResourceLimitError:  # beyond the oracle's cap the cell stays empty
+        if n > len(betas):  # beyond the oracle's cap the cell stays empty
             exact = None
         else:
-            exact = math.log(beta) / n if beta > 0.0 else -math.inf
+            exact = math.log(betas[n - 1]) / n if betas[n - 1] > 0.0 else -math.inf
         ref = second_order_reference(curve, n, args.eps)
         return [
             n,
@@ -190,7 +184,7 @@ def _cmd_stein(args) -> int:
             ref.bound_value if ref.valid else None,
         ]
 
-    rows = _pool_map(row, range(1, args.n_max + 1), args.threads)
+    rows = [row(n) for n in ns]
     _write_csv(args.out, "stein.csv", "n,lower,upper,exact_if_feasible,second_order_ref", rows)
     return 0
 
@@ -230,7 +224,7 @@ def _cmd_chernoff(args) -> int:
             exact = math.log(e_n) / n if e_n > 0.0 else -math.inf
         return [n, upper_rate, lower.bound_value if lower.valid else None, exact]
 
-    rows = _pool_map(row, range(1, args.n_max + 1), args.threads)
+    rows = [row(n) for n in range(1, args.n_max + 1)]
     _write_csv(
         args.out,
         "chernoff.csv",
@@ -276,7 +270,7 @@ def _add_common_args(sub) -> None:
     sub.add_argument("--out", default=None,
                      help="output directory (default: QSDBOUNDS_OUT or '.')")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for n-sweeps (default: 1)")
+                     help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,13 +28,14 @@ from .ns_mapping import _type_sums, _type_table
 
 _KERNEL_TOL = 1e-12
 _GAP_RTOL = 1e-12  # beta_eps_exact stops once primal - dual is at most this times primal
+_PAD_MAX = 16  # blocks of at most this many rows share one zero-padded eigh stack
 
 Partition = tuple[int, ...]
 
 # State-independent irrep data keyed by (kind, d, partition), built on first
 # use and kept for the life of the process. Entries are built under the lock,
-# so each is built once and every thread reads the same basis: the CLI's
-# thread pool must give the same output bytes as one thread.
+# so each is built once and every thread of a library caller reads the same
+# basis, and so gets the same bytes as one thread.
 _IRREPS: dict[tuple[str, int, Partition], object] = {}
 _IRREPS_LOCK = threading.RLock()
 
@@ -189,6 +190,11 @@ def _irrep_images(state: DensityMatrix, lams: tuple[Partition, ...]) -> list[np.
         return [image(lam) for lam in lams]
 
 
+def _within_cap(d: int, n: int) -> bool:
+    """Whether the exact quantum oracles take n copies of a d-level pair: d^n <= DIM_CAP."""
+    return d**n <= DIM_CAP
+
+
 def _block_pair(
     rho: DensityMatrix, sigma: DensityMatrix, n: int
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -206,7 +212,7 @@ def _block_pair(
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if rho.dim**n > DIM_CAP:
+    if not _within_cap(rho.dim, n):
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
     lams, mults = _block_shapes(n, rho.dim)
     return list(zip(mults, _irrep_images(rho, lams), _irrep_images(sigma, lams)))
@@ -231,96 +237,150 @@ class NPTestErrors(NamedTuple):
     degenerate_kernel: bool
 
 
-def _np_test(blocks: list[tuple[int, np.ndarray, np.ndarray]], lam: float, tol: float) -> NPTestErrors:
-    """Errors of the projector T onto the eigenvectors of lam R - S with eigenvalue above tol.
+def _stacks(blocks_by_n: list[list[tuple[int, np.ndarray, np.ndarray]]]) -> list[tuple[np.ndarray, ...]]:
+    """The blocks of every n as stacks (owner, weight, R, S) of one batched eigh each.
 
-    alpha = Tr rho_n (I - T) and beta = Tr sigma_n T are sums over the
-    blocks (m, R, S) with their multiplicities, one eigendecomposition per
-    block; the flag reports an eigenvalue within tol of zero.
+    owner[k] is the index of block k's n, and weight[k] holds its
+    multiplicity in that column. Blocks of at most _PAD_MAX rows share one
+    stack, padded to the largest of them with R = 0 and S = I: lam R - S is
+    -1 there, which no test accepts, and R puts no weight on it. Every larger
+    size has its own stack, since a stacked eigh costs about the cube of the
+    padded size. A group of one block keeps the stored image, without a copy.
     """
-    accepted_r: list[float] = []
-    accepted_s: list[float] = []
-    degenerate = False
-    for m, r, s in blocks:
-        w, v = np.linalg.eigh(lam * r - s)
-        degenerate = degenerate or bool(np.any(np.abs(w) <= tol))
-        cols = v[:, w > tol]
-        accepted_r += (m * np.einsum("ij,ij->j", cols.conj(), r @ cols).real).tolist()
-        accepted_s += (m * np.einsum("ij,ij->j", cols.conj(), s @ cols).real).tolist()
-    alpha = min(max(1.0 - math.fsum(accepted_r), 0.0), 1.0)
-    beta = min(max(math.fsum(accepted_s), 0.0), 1.0)
-    return NPTestErrors(alpha=alpha, beta=beta, degenerate_kernel=degenerate)
+    groups: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for i, blocks in enumerate(blocks_by_n):
+        for m, r, s in blocks:
+            groups.setdefault(0 if r.shape[0] <= _PAD_MAX else r.shape[0], []).append((i, m, r, s))
+    stacks = []
+    for group in groups.values():
+        owner, mult, rs, ss = zip(*group)
+        weight = np.zeros((len(group), len(blocks_by_n)))
+        weight[range(len(group)), owner] = mult
+        if len(group) == 1:
+            stacks.append((np.array(owner), weight, rs[0][None], ss[0][None]))
+            continue
+        rows = max(r.shape[0] for r in rs)
+        r_stack = np.zeros((len(group), rows, rows), dtype=np.complex128)
+        s_stack = np.zeros_like(r_stack)
+        s_stack[:, range(rows), range(rows)] = 1.0
+        for j, (r, s) in enumerate(zip(rs, ss)):
+            r_stack[j, : r.shape[0], : r.shape[0]] = r
+            s_stack[j, : s.shape[0], : s.shape[0]] = s
+        stacks.append((np.array(owner), weight, r_stack, s_stack))
+    return stacks
+
+
+def _np_round(
+    stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """((alpha, beta), degenerate) per n of the projector test onto lam_n R - S above tol.
+
+    One batched eigh per stack, over the blocks of every n with open_ set.
+    alpha = Tr rho_n (I - T) sums the rejected eigenvectors and beta =
+    Tr sigma_n T the accepted ones, each weighted by its block's
+    multiplicity; degenerate flags an eigenvalue within tol of zero. The
+    entries of n not open are 0.
+    """
+    errors, flags = np.zeros((2, lam.size)), np.zeros(lam.size)
+    for owner, weight, r, s in stacks:
+        keep = open_[owner]
+        if not keep.all():
+            if not keep.any():
+                continue
+            owner, weight, r, s = owner[keep], weight[keep], r[keep], s[keep]
+        w, v = np.linalg.eigh(lam[owner, None, None] * r - s)
+        accept = w > tol
+        alpha = np.where(accept, 0.0, np.einsum("kij,kij->kj", v.conj(), r @ v).real)
+        beta = np.where(accept, np.einsum("kij,kij->kj", v.conj(), s @ v).real, 0.0)
+        errors += np.stack((alpha.sum(axis=1), beta.sum(axis=1))) @ weight
+        flags += np.any(np.abs(w) <= tol, axis=1) @ weight
+    return np.clip(errors, 0.0, 1.0), flags > 0.0
 
 
 def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> NPTestErrors:
     """Errors of the projector test onto the strictly positive part of exp(-n a) rho_n - sigma_n.
 
     alpha = Tr rho_n (I - T), beta = Tr sigma_n T, summed over the blocks of
-    `_block_pair` with their multiplicities. Eigenvalues of a block within
-    1e-12 of zero are excluded from T and flagged, since any split of the
-    kernel is optimal and the reported pair is then one choice among several.
+    `_block_pair` by `_np_round`, the kernel of `beta_eps_exact`'s rounds.
+    Eigenvalues of a block within 1e-12 of zero are excluded from T and
+    flagged, since any split of the kernel is optimal and the reported pair
+    is then one choice among several.
     """
-    return _np_test(_block_pair(rho, sigma, n), math.exp(-n * a), _KERNEL_TOL)
+    stacks = _stacks([_block_pair(rho, sigma, n)])
+    (alpha, beta), flag = _np_round(stacks, np.array([math.exp(-n * a)]), np.ones(1, bool), _KERNEL_TOL)
+    return NPTestErrors(alpha=float(alpha[0]), beta=float(beta[0]), degenerate_kernel=bool(flag[0]))
 
 
-def _beta_eps_bounds(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> tuple[float, float]:
-    """(dual, primal): a lower and an upper bound on beta_{n,eps}, each the value of a test pair.
+def _beta_eps_sweep(
+    rho: DensityMatrix, sigma: DensityMatrix, ns: list[int], eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dual, primal) per n of ns: lower and upper bounds on beta_{n,eps}, each the value of a test pair.
 
     The dual h(lam) = (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ is concave,
     and beta_{n,eps} is its maximum over lam >= 0. A test T with errors
     (alpha, beta) gives the line beta + lam (alpha - eps), which lies above
-    h everywhere and touches it where T = {lam rho_n - sigma_n > 0}. The
-    search keeps a bracket of two such tests, lo with alpha > eps and hi
-    with alpha <= eps, starting from reject-all (1, 0) and accept-all
+    h everywhere and touches it where T = {lam rho_n - sigma_n > 0}. Each
+    n's search keeps a bracket of two such tests, lo with alpha > eps and
+    hi with alpha <= eps, starting from reject-all (1, 0) and accept-all
     (0, 1). Each round goes to the crossing lam of their lines, where the
     line value is the beta of the randomized mix of the two tests with
     alpha = eps (the primal bound), evaluates h there by the projector test
-    (the dual bound), and replaces the bracket end on the same side. It
+    (the dual bound), and replaces the bracket end on the same side. An n
     stops when primal - dual is at most _GAP_RTOL of primal, or when a
-    round no longer shrinks that gap (the rounding floor). The test keeps
-    every eigenvalue w > 0 of each block, with no absolute kernel
-    tolerance: the maximizer lam* of a tiny beta is itself tiny.
+    round no longer shrinks that gap (the rounding floor). The searches run
+    in lockstep, a round being one `_np_round` over every n still open. The
+    test keeps every eigenvalue w > 0, with no absolute kernel tolerance:
+    the maximizer lam* of a tiny beta is itself tiny.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    blocks = _block_pair(rho, sigma, n)
+    stacks = _stacks([_block_pair(rho, sigma, n) for n in ns])
     support = matrix_power_support(sigma.spectral(), 0.0)
-    if float(np.einsum("ij,ji->", rho.array, support).real) ** n <= eps:
-        return 0.0, 0.0
-    lo = NPTestErrors(alpha=1.0, beta=0.0, degenerate_kernel=False)
-    hi = NPTestErrors(alpha=0.0, beta=1.0, degenerate_kernel=False)
-    dual, primal, gap = -math.inf, math.inf, math.inf
+    overlap = float(np.einsum("ij,ji->", rho.array, support).real)
+    open_ = np.array([overlap**n > eps for n in ns], dtype=bool)  # else beta = 0
+    lo, hi = np.zeros((2, 2, len(ns)))  # rows alpha, beta
+    lo[0] = hi[1] = 1.0  # reject-all and accept-all
+    dual, primal = np.where(open_, -math.inf, 0.0), np.where(open_, math.inf, 0.0)
+    gap = np.full(len(ns), math.inf)
     for _ in range(_MAX_ITER):
-        lam = (hi.beta - lo.beta) / (lo.alpha - hi.alpha)
-        primal = min(primal, lo.beta + lam * (lo.alpha - eps))
-        test = _np_test(blocks, lam, 0.0)
-        dual = max(dual, test.beta + lam * (test.alpha - eps))
-        if primal - dual <= _GAP_RTOL * primal or primal - dual >= gap:
-            return dual, primal
+        if not open_.any():
+            break
+        # a closed n keeps its bracket, so its primal stays put
+        lam = (hi[1] - lo[1]) / (lo[0] - hi[0])
+        primal = np.minimum(primal, lo[1] + lam * (lo[0] - eps))
+        test, _ = _np_round(stacks, lam, open_, 0.0)
+        dual = np.where(open_, np.maximum(dual, test[1] + lam * (test[0] - eps)), dual)
+        open_ &= (primal - dual > _GAP_RTOL * primal) & (primal - dual < gap)
         gap = primal - dual
-        if test.alpha > eps:
-            lo = test
-        else:
-            hi = test
-    raise ConvergenceError("the Neyman-Pearson test search did not close its gap")
+        lo = np.where(open_ & (test[0] > eps), test, lo)
+        hi = np.where(open_ & (test[0] <= eps), test, hi)
+    if open_.any():
+        raise ConvergenceError("the Neyman-Pearson test search did not close its gap")
+    return dual, primal
 
 
-def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
+def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n, eps: float):
     """Minimal type-II error at type-I budget eps over all operator tests.
 
-    beta is exactly 0 when (Tr rho Pi)^n <= eps for Pi the support projector
-    of sigma: the test I - Pi^(tensor n) then meets the budget, and no test
+    n is an int, giving a float, or a 1-D sequence of n, giving a float64
+    array of beta_{n,eps} for each; an int is a sweep of one n. beta is
+    exactly 0 when (Tr rho Pi)^n <= eps for Pi the support projector of
+    sigma: the test I - Pi^(tensor n) then meets the budget, and no test
     with zero type-II error does better. Otherwise it is the maximum of the
     dual
 
         h(lam) = (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ ,  lam >= 0,
 
     found by a cutting-plane search over Neyman-Pearson projector tests on
-    the blocks of `_block_pair` (see `_beta_eps_bounds`). Returns the dual
-    value, the largest h found, clamped to [0, 1].
+    the blocks of `_block_pair`, for all n at once (see `_beta_eps_sweep`).
+    Returns the dual value, the largest h found, clamped to [0, 1]. An n
+    beyond the cap raises ResourceLimitError before any search starts.
     """
-    dual, _ = _beta_eps_bounds(rho, sigma, n, eps)
-    return min(max(dual, 0.0), 1.0)
+    if np.ndim(n) > 1:
+        raise ValidationError(f"n must be an int or a 1-D sequence, got shape {np.shape(n)}")
+    dual, _ = _beta_eps_sweep(rho, sigma, np.atleast_1d(n).tolist(), eps)
+    beta = np.clip(dual, 0.0, 1.0)
+    return float(beta[0]) if np.ndim(n) == 0 else beta
 
 
 def classical_beta_eps_exact(p, q, n: int, eps: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsdbounds import BinaryPair, DensityMatrix, en_bounds, rate_curve, rate_curve_csv
+from qsdbounds import cli
 from qsdbounds.cli import main, parse_state_file
 
 from helpers import random_full_rank_state, state_to_json_dict
@@ -92,7 +93,7 @@ def qutrit_files(tmp_path):
 
 
 def test_identical_inputs_identical_bytes(tmp_path, pair_files, qutrit_files):
-    # the qutrit rows n <= 7 are computed on Schur-Weyl bases cached across threads
+    # --threads has no effect; the second qutrit run reads the Schur-Weyl bases the first cached
     for label, (rho_f, sig_f) in (("qubit", pair_files), ("qutrit", qutrit_files)):
         d1, d2 = tmp_path / label / "run1", tmp_path / label / "run2"
         argv = ["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1", "--n-max", "8"]
@@ -101,12 +102,21 @@ def test_identical_inputs_identical_bytes(tmp_path, pair_files, qutrit_files):
         assert (d1 / "stein.csv").read_bytes() == (d2 / "stein.csv").read_bytes()
 
 
-def test_qutrit_exact_columns_fill_up_to_the_cap(tmp_path, qutrit_files):
+def test_qutrit_exact_columns_fill_up_to_the_cap(tmp_path, qutrit_files, monkeypatch):
     # 3^7 = 2187 <= 4096 < 3^8: rows 1..7 carry the exact rate, row 8 is left empty
     rho_f, sig_f = qutrit_files
     out = tmp_path / "out"
+    calls = []
+    beta_eps_exact = cli.beta_eps_exact
+
+    def recorded(rho, sigma, n, eps):
+        calls.append(list(n))
+        return beta_eps_exact(rho, sigma, n, eps)
+
+    monkeypatch.setattr(cli, "beta_eps_exact", recorded)
     assert main(["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1",
                  "--n-max", "8", "--out", str(out)]) == 0
+    assert calls == [list(range(1, 8))]  # one sweep over every n under the cap
     assert main(["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "8",
                  "--out", str(out)]) == 0
     for name, column in (("stein.csv", 3), ("chernoff.csv", 3)):

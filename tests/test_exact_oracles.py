@@ -348,22 +348,23 @@ def _np_search_cases():
 @pytest.mark.parametrize("kind,d,n_max", _np_search_cases())
 def test_np_search_brackets_the_dense_bisection(kind, d, n_max, monkeypatch):
     rounds = []
-    np_test = exact_oracles._np_test
+    np_round = exact_oracles._np_round
 
-    def counted(blocks, lam, tol):
+    def counted(stacks, lam, open_, tol):
         rounds[-1] += 1
-        return np_test(blocks, lam, tol)
+        return np_round(stacks, lam, open_, tol)
 
-    monkeypatch.setattr(exact_oracles, "_np_test", counted)
+    monkeypatch.setattr(exact_oracles, "_np_round", counted)
     rho, sigma = _cross_check_pair(kind, d)
     for n in range(1, n_max + 1):
         for eps in (0.05, 0.3):
             rounds.append(0)
-            dual, primal = exact_oracles._beta_eps_bounds(rho, sigma, n, eps)
+            (dual,), (primal,) = exact_oracles._beta_eps_sweep(rho, sigma, [n], eps)
             assert rounds[-1] <= 40, (n, eps)
             if primal == 0.0:  # the support test: beta = 0 needs no search
                 assert dual == 0.0 and rounds[-1] == 0
                 continue
+            assert rounds[-1] >= 1, (n, eps)
             assert dual <= primal * (1.0 + 1e-12), (n, eps)
             assert primal - dual <= 1e-12 * primal, (n, eps)
             want = _dense_np_bisection(rho, sigma, n, eps)
@@ -373,6 +374,37 @@ def test_np_search_brackets_the_dense_bisection(kind, d, n_max, monkeypatch):
                 p, q = np.diagonal(rho.array).real, np.diagonal(sigma.array).real
                 assert beta_eps_exact(rho, sigma, n, eps) == pytest.approx(
                     classical_beta_eps_exact(p, q, n, eps), rel=1e-12, abs=0.0)
+
+
+def _sweep_cases():
+    # d = 4 stops at n = 3, where the dense reference bisects 64 x 64 matrices
+    for d, n_max in ((2, 6), (3, 4), (4, 3)):
+        for kind in CROSS_CHECK_KINDS:
+            for eps in (0.05, 0.3):
+                yield pytest.param(kind, d, n_max, eps, id=f"{kind}-d{d}-eps{eps}")
+
+
+@pytest.mark.parametrize("kind,d,n_max,eps", _sweep_cases())
+def test_beta_eps_sweep_matches_each_n_alone(kind, d, n_max, eps):
+    # the sweep pads the small blocks of all n into one stack, so its roundings
+    # differ from those of one n alone; both must still meet the dense bisection
+    rho, sigma = _cross_check_pair(kind, d)
+    sweep = beta_eps_exact(rho, sigma, range(1, n_max + 1), eps)
+    assert isinstance(sweep, np.ndarray) and sweep.dtype == np.float64 and sweep.shape == (n_max,)
+    for n, got in zip(range(1, n_max + 1), sweep.tolist()):
+        alone = beta_eps_exact(rho, sigma, n, eps)
+        assert isinstance(alone, float)
+        assert abs(got - alone) <= 1e-12 * alone, n
+        if alone == 0.0:  # the support test, which the dense bisection does not make
+            continue
+        want = _dense_np_bisection(rho, sigma, n, eps)
+        assert abs(got - want) <= 1e-9 * want, n
+        assert abs(alone - want) <= 1e-9 * want, n
+    n_cap = next(n for n in range(1, 14) if d ** (n + 1) > DIM_CAP)
+    with pytest.raises(ResourceLimitError):
+        beta_eps_exact(rho, sigma, [1, n_cap + 1], eps)
+    with pytest.raises(ResourceLimitError):
+        beta_eps_exact(rho, sigma, n_cap + 1, eps)
 
 
 def _spectrum_case(d: int) -> tuple[DensityMatrix, DensityMatrix]:
