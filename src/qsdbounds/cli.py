@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .classical_binary import BinaryPair, rate_curve, rate_curve_csv
-from .divergences import build_psi, profile_from_curve, psi_moments
+from .divergences import _state_pair, profile_from_curve, psi_moments
 from .errors import QsdError, ResourceLimitError, ValidationError
 from .exact_oracles import _within_cap, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
 from .finite_bounds import (
@@ -55,7 +55,7 @@ def parse_state_file(path: str) -> DensityMatrix:
     if not isinstance(data, dict) or "dim" not in data or "matrix" not in data:
         raise ValidationError(f"state file {path} needs keys 'dim' and 'matrix'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"state file {path}: dim must be a positive integer, got {dim!r}")
     if dim > DIM_CAP:
         raise ResourceLimitError(f"state file {path}: dim {dim} exceeds cap {DIM_CAP}")
@@ -133,7 +133,7 @@ def _write_json(out_dir: str, name: str, payload: dict) -> None:
 def _cmd_divergences(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
-    curve = build_psi(rho.spectral(), sigma.spectral())
+    curve = _state_pair(rho, sigma)
     profile = profile_from_curve(curve)
     unit = _LN2 if args.bits else 1.0
     _write_json(
@@ -162,7 +162,7 @@ def _cmd_divergences(args) -> int:
 def _cmd_stein(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
-    curve = build_psi(rho.spectral(), sigma.spectral())
+    curve = _state_pair(rho, sigma)
 
     ns = range(1, args.n_max + 1)
     capped = [n for n in ns if _within_cap(rho.dim, n)]
@@ -192,7 +192,7 @@ def _cmd_stein(args) -> int:
 def _cmd_hoeffding(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
-    curve = build_psi(rho.spectral(), sigma.spectral())
+    curve = _state_pair(rho, sigma)
     first = hoeffding_upper(curve, 1, args.r)
     if not first.valid:
         raise ValidationError(f"hoeffding bound unavailable: {first.reason}")
@@ -209,7 +209,7 @@ def _cmd_hoeffding(args) -> int:
 def _cmd_chernoff(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
-    curve = build_psi(rho.spectral(), sigma.spectral())
+    curve = _state_pair(rho, sigma)
     # -phi(0) does not depend on n
     upper = mixed_upper(curve, 1, 0.0).mixed
     upper_rate = upper.bound_value if upper.valid else None
@@ -336,6 +336,8 @@ def main(argv=None) -> int:
     if args.out is None:  # read at every request, so a changed QSDBOUNDS_OUT applies
         args.out = os.environ.get("QSDBOUNDS_OUT", ".")
     try:
+        if getattr(args, "n_max", 1) < 1:  # every n-sweep subcommand
+            raise ValidationError(f"need n_max >= 1, got {args.n_max}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

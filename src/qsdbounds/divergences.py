@@ -34,31 +34,48 @@ _BOUNDARY_TOL = 1e-13
 _BOUNDARY_ULPS = 4
 
 
-@dataclass(frozen=True)
-class PsiCurve:
-    """Joint-support data defining psi(t) for one operator pair.
+@dataclass(frozen=True, eq=False)
+class ClassicalPair:
+    """Weighted measure pair (p, q) on a joint-support alphabet, defining psi(t).
 
-    For the k-th retained pair (i, j), log_ratios[k] = log a_i - log b_j,
-    and log_p / log_q are the logs of the weighted measures a_i Tr P_i Q_j and
-    b_j Tr P_i Q_j. Empty arrays mean orthogonal supports (psi = -inf
-    everywhere).
+    For an operator pair, letter k = labels[k] = (i, j) is a pair of
+    eigenvalue indices with p[k] = a_i Tr P_i Q_j and q[k] = b_j Tr P_i Q_j
+    (see `build_psi`). Masses are strictly positive; an empty alphabet means
+    orthogonal supports (psi = -inf everywhere). a_support_contained is
+    False when part of A lies outside the support of B.
 
-    The arrays are read-only, so every quantity derived from them alone is
-    fixed for the life of the curve: `_memo` keeps the roots of the searches
-    (t_r per r, the conjugate point per a) and D, V and eta once computed, so
-    a sweep over n pays each search once. It takes no part in equality or
-    repr. Calls that raise are not memoized.
+    p, q and the derived log_p, log_q and log_ratios = log_p - log_q are
+    read-only copies made at construction, so every quantity derived from
+    the pair is fixed for its life: `_memo` keeps the roots of the searches
+    (t_r per r, the conjugate point per a) and D, V and eta once computed,
+    so a sweep over n pays each search once. Calls that raise are not
+    memoized. Equality is identity: numpy arrays have no single truth value.
     """
 
-    log_ratios: np.ndarray
-    log_p: np.ndarray
-    log_q: np.ndarray
-    a_support_contained: bool
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    labels: tuple[tuple[int, int], ...]
+    p: np.ndarray
+    q: np.ndarray
+    a_support_contained: bool = True
+    log_p: np.ndarray = field(init=False, repr=False)
+    log_q: np.ndarray = field(init=False, repr=False)
+    log_ratios: np.ndarray = field(init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p, q = np.array(self.p, dtype=np.float64), np.array(self.q, dtype=np.float64)
+        if p.ndim != 1 or p.shape != q.shape or p.size != len(self.labels):
+            raise ValidationError("labels, p and q must be vectors of equal length")
+        if not (np.all(p > 0.0) and np.all(q > 0.0)):
+            raise ValidationError("p and q must be strictly positive (shared support)")
+        log_p, log_q = np.log(p), np.log(q)
+        for name, arr in (("p", p), ("q", q), ("log_p", log_p), ("log_q", log_q),
+                          ("log_ratios", log_p - log_q)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
-        return int(self.log_p.size)
+        return int(self.p.size)
 
     @property
     def orthogonal_supports(self) -> bool:
@@ -66,7 +83,7 @@ class PsiCurve:
 
 
 def _memoized(fn):
-    """Keep fn(curve, *args) in curve._memo, keyed by fn and the exact args.
+    """Keep fn(pair, *args) in pair._memo, keyed by fn and the exact args.
 
     A call that raises stores nothing, so it raises again on every call.
     Threads making the first call at once may each compute the value; as it
@@ -74,54 +91,50 @@ def _memoized(fn):
     """
 
     @functools.wraps(fn)
-    def wrapper(curve: PsiCurve, *args):
+    def wrapper(pair: ClassicalPair, *args):
         key = (fn.__name__, *args)
-        memo = curve._memo
+        memo = pair._memo
         if key not in memo:
-            memo[key] = fn(curve, *args)
+            memo[key] = fn(pair, *args)
         return memo[key]
 
     return wrapper
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def build_psi(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:
+    """Nussbaum-Szkola pair of two PSD operators given by spectral decompositions.
 
-
-def build_psi(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> PsiCurve:
-    """PsiCurve of a pair of PSD operators given by spectral decompositions."""
+    Letters are the rows (i, j, a_i, b_j, Tr P_i Q_j) of the joint-support
+    table, with p = a_i Tr P_i Q_j and q = b_j Tr P_i Q_j; its psi is
+    log Tr A^t B^(1-t).
+    """
     rows = support_overlap_table(a_dec, b_dec)
     trace_a = math.fsum(v * r for v, r in zip(a_dec.eigenvalues, a_dec.ranks()))
-    weights = np.array([w for (_, _, _, _, w) in rows], dtype=np.float64)
-    log_a = np.array([math.log(a) for (_, _, a, _, _) in rows], dtype=np.float64)
-    log_b = np.array([math.log(b) for (_, _, _, b, _) in rows], dtype=np.float64)
-    log_w = np.log(weights) if weights.size else weights
-    sum_p = math.fsum(a * w for (_, _, a, _, w) in rows)
-    return PsiCurve(
-        log_ratios=_freeze(log_a - log_b),
-        log_p=_freeze(log_a + log_w),
-        log_q=_freeze(log_b + log_w),
-        a_support_contained=sum_p >= trace_a - _CONTAINMENT_TOL * max(1.0, trace_a),
+    p = [a * w for (_, _, a, _, w) in rows]
+    return ClassicalPair(
+        labels=tuple((i, j) for (i, j, _, _, _) in rows),
+        p=p,
+        q=[b * w for (_, _, _, b, w) in rows],
+        a_support_contained=math.fsum(p) >= trace_a - _CONTAINMENT_TOL * max(1.0, trace_a),
     )
 
 
-def psi_curve_from_probabilities(p, q) -> PsiCurve:
-    """PsiCurve of two positive weight vectors on a shared finite alphabet."""
+def _state_pair(rho: DensityMatrix, sigma: DensityMatrix) -> ClassicalPair:
+    """`build_psi` of two states, kept in rho.pair_memo(sigma): every caller,
+    each thread included, gets the one pair stored first and its memo."""
+    memo = rho.pair_memo(sigma)
+    pair = memo.get("pair")
+    if pair is None:
+        pair = memo.setdefault("pair", build_psi(rho.spectral(), sigma.spectral()))
+    return pair
+
+
+def psi_curve_from_probabilities(p, q) -> ClassicalPair:
+    """ClassicalPair of two positive weight vectors on a shared alphabet, letter k labelled (k, k)."""
     pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape or pa.ndim != 1 or pa.size == 0:
+    if pa.ndim != 1 or pa.size == 0:
         raise ValidationError("p and q must be nonempty vectors of equal length")
-    if np.any(pa <= 0.0) or np.any(qa <= 0.0):
-        raise ValidationError("p and q must be strictly positive (shared support)")
-    log_p = np.log(pa)
-    log_q = np.log(qa)
-    return PsiCurve(
-        log_ratios=_freeze(log_p - log_q),
-        log_p=_freeze(log_p),
-        log_q=_freeze(log_q),
-        a_support_contained=True,
-    )
+    return ClassicalPair(labels=tuple((k, k) for k in range(pa.size)), p=pa, q=q)
 
 
 def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
@@ -154,19 +167,19 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(_logsumexp_rows(values.reshape(1, -1))[0])
 
 
-def _require_joint_support(curve: PsiCurve) -> None:
+def _require_joint_support(curve: ClassicalPair) -> None:
     if curve.orthogonal_supports:
         raise ValidationError("orthogonal supports: psi is -inf everywhere")
 
 
-def _shifted_weights(curve: PsiCurve, t: float) -> tuple[float, np.ndarray]:
+def _shifted_weights(curve: ClassicalPair, t: float) -> tuple[float, np.ndarray]:
     """(m, exp(log_q + t log_ratios - m)) with m the largest exponent."""
     logw = curve.log_q + t * curve.log_ratios
     m = float(np.max(logw))
     return m, np.exp(logw - m)
 
 
-def psi(curve: PsiCurve, t: float) -> float:
+def psi(curve: ClassicalPair, t: float) -> float:
     """psi(t) = log sum p^t q^(1-t); -inf for orthogonal supports."""
     if curve.orthogonal_supports:
         return -math.inf
@@ -177,14 +190,14 @@ def psi(curve: PsiCurve, t: float) -> float:
     return m + math.log(_fsum(w))
 
 
-def _tilted(curve: PsiCurve, t: float) -> tuple[float, np.ndarray]:
+def _tilted(curve: ClassicalPair, t: float) -> tuple[float, np.ndarray]:
     """(psi(t), tilted measure at t) from one exponential pass; psi(t) is bit-identical to `psi`."""
     m, w = _shifted_weights(curve, t)
     total = _fsum(w)
     return m + math.log(total), w / total
 
 
-def psi_moments(curve: PsiCurve, t: float) -> tuple[float, float, float]:
+def psi_moments(curve: ClassicalPair, t: float) -> tuple[float, float, float]:
     """(psi(t), psi'(t), psi''(t)) from one tilted pass, each bit-identical to
     `psi`, `psi_prime` and `psi_second`."""
     _require_joint_support(curve)
@@ -194,23 +207,23 @@ def psi_moments(curve: PsiCurve, t: float) -> tuple[float, float, float]:
     return value, mean, _fsum(mu * dev * dev)
 
 
-def psi_prime(curve: PsiCurve, t: float) -> float:
+def psi_prime(curve: ClassicalPair, t: float) -> float:
     """psi'(t): mean of the log-ratio statistic under the tilted measure at t."""
     _require_joint_support(curve)
     return _fsum(_tilted(curve, t)[1] * curve.log_ratios)
 
 
-def psi_second(curve: PsiCurve, t: float) -> float:
+def psi_second(curve: ClassicalPair, t: float) -> float:
     """psi''(t): variance of the log-ratio statistic under the tilted measure at t."""
     return psi_moments(curve, t)[2]
 
 
-def _is_degenerate(curve: PsiCurve) -> bool:
+def _is_degenerate(curve: ClassicalPair) -> bool:
     # q proportional to p: the log-ratio statistic is constant and psi is affine
     return curve.size > 0 and float(np.ptp(curve.log_ratios)) <= 1e-12
 
 
-def renyi(curve: PsiCurve, t: float) -> float:
+def renyi(curve: ClassicalPair, t: float) -> float:
     """Renyi divergence D_t = psi(t) / (t - 1) for t >= 0, t != 1.
 
     +inf when the supports are orthogonal and t is in [0, 1), and when the
@@ -228,7 +241,7 @@ def renyi(curve: PsiCurve, t: float) -> float:
 
 
 @_memoized
-def relative_entropy(curve: PsiCurve) -> float:
+def relative_entropy(curve: ClassicalPair) -> float:
     """D(A||B) = sum p (log p - log q) over the joint support; +inf without support containment."""
     if not curve.a_support_contained:
         return math.inf
@@ -236,7 +249,7 @@ def relative_entropy(curve: PsiCurve) -> float:
 
 
 @_memoized
-def relative_entropy_variance(curve: PsiCurve) -> float:
+def relative_entropy_variance(curve: ClassicalPair) -> float:
     """Second-order coefficient V = psi''(1); requires support containment."""
     if not curve.a_support_contained:
         raise ValidationError("variance needs the support of A contained in the support of B")
@@ -244,7 +257,7 @@ def relative_entropy_variance(curve: PsiCurve) -> float:
 
 
 @_memoized
-def _conjugate_point(curve: PsiCurve, a: float) -> float:
+def _conjugate_point(curve: ClassicalPair, a: float) -> float:
     """Leftmost maximizer over [0, 1] of a t - psi(t).
 
     psi is convex, so psi' is nondecreasing: the maximizer is 0 when
@@ -257,7 +270,7 @@ def _conjugate_point(curve: PsiCurve, a: float) -> float:
     return bisect_decreasing(lambda t: -psi_prime(curve, t), 0.0, 1.0, -a)
 
 
-def chernoff_distance(curve: PsiCurve) -> tuple[float, float]:
+def chernoff_distance(curve: ClassicalPair) -> tuple[float, float]:
     """(-min over [0,1] of psi, leftmost argmin). Orthogonal supports give +inf."""
     if curve.orthogonal_supports:
         return math.inf, 0.0
@@ -265,12 +278,12 @@ def chernoff_distance(curve: PsiCurve) -> tuple[float, float]:
     return -psi(curve, t_star), t_star
 
 
-def _hoeffding_at(curve: PsiCurve, r: float, t: float) -> float:
+def _hoeffding_at(curve: ClassicalPair, r: float, t: float) -> float:
     """Hoeffding objective (-t r - psi(t)) / (1 - t); equals H_r at t = t_r."""
     return (-t * r - psi(curve, t)) / (1.0 - t)
 
 
-def hoeffding_distance(curve: PsiCurve, r: float) -> float:
+def hoeffding_distance(curve: ClassicalPair, r: float) -> float:
     """H_r = sup over 0 <= t < 1 of (-t r - psi(t)) / (1 - t) for r >= 0.
 
     The objective is concave in s = t / (1 - t) and stationary exactly where
@@ -298,20 +311,20 @@ def hoeffding_distance(curve: PsiCurve, r: float) -> float:
     return _hoeffding_at(curve, r, solve_t_r(curve, r))
 
 
-def phi(curve: PsiCurve, a: float) -> float:
+def phi(curve: ClassicalPair, a: float) -> float:
     """phi(a) = max over t in [0,1] of (a t - psi(t)); concave conjugate on the unit interval."""
     _require_joint_support(curve)
     t = _conjugate_point(curve, a)
     return a * t - psi(curve, t)
 
 
-def phi_hat(curve: PsiCurve, a: float) -> float:
+def phi_hat(curve: ClassicalPair, a: float) -> float:
     """phi_hat(a) = phi(a) - a."""
     return phi(curve, a) - a
 
 
 @_memoized
-def solve_t_r(curve: PsiCurve, r: float) -> float:
+def solve_t_r(curve: ClassicalPair, r: float) -> float:
     """Unique t in (0, 1) with (t - 1) psi'(t) - psi(t) = r.
 
     Defined for -psi(1) < r < -psi(0) - psi'(0); the left side is strictly
@@ -335,7 +348,7 @@ def solve_t_r(curve: PsiCurve, r: float) -> float:
     return bisect_decreasing(g, 0.0, 1.0, r)
 
 
-def a_r(curve: PsiCurve, r: float) -> float:
+def a_r(curve: ClassicalPair, r: float) -> float:
     """Threshold a_r = H_r - r; satisfies phi(a_r) = H_r and phi_hat(a_r) = r."""
     if r <= -psi(curve, 1.0):
         raise ValidationError(f"a_r needs r > {-psi(curve, 1.0)!r}")
@@ -343,7 +356,7 @@ def a_r(curve: PsiCurve, r: float) -> float:
 
 
 @_memoized
-def eta(curve: PsiCurve) -> float:
+def eta(curve: ClassicalPair) -> float:
     """eta = 1 + exp(D_{3/2} / 2) + exp(-D_{1/2} / 2); +inf without support containment."""
     d32 = renyi(curve, 1.5)
     if math.isinf(d32):
@@ -401,8 +414,8 @@ class DivergenceProfile:
     variance: float
 
 
-def profile_from_curve(curve: PsiCurve) -> DivergenceProfile:
-    """DivergenceProfile computed from an already-built PsiCurve."""
+def profile_from_curve(curve: ClassicalPair) -> DivergenceProfile:
+    """DivergenceProfile computed from an already-built ClassicalPair."""
     chern, t_star = chernoff_distance(curve)
     variance = (
         relative_entropy_variance(curve) if curve.a_support_contained else math.inf
@@ -417,5 +430,5 @@ def profile_from_curve(curve: PsiCurve) -> DivergenceProfile:
 
 
 def divergence_profile(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceProfile:
-    """DivergenceProfile of two states, built from one shared PsiCurve."""
-    return profile_from_curve(build_psi(rho.spectral(), sigma.spectral()))
+    """DivergenceProfile of two states, from the pair's one ClassicalPair."""
+    return profile_from_curve(_state_pair(rho, sigma))

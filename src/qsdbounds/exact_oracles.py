@@ -210,6 +210,8 @@ def _block_pair(
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if not _within_cap(rho.dim, n):

@@ -15,8 +15,10 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .divergences import (
-    PsiCurve,
+    ClassicalPair,
     _hoeffding_at,
+    _memoized,
+    _state_pair,
     binary_entropy,
     chernoff_distance,
     eta,
@@ -29,7 +31,6 @@ from .divergences import (
 )
 from .errors import ValidationError
 from .linalg import SUPPORT_CUTOFF, DensityMatrix
-from .ns_mapping import ClassicalPair, build_classical_pair
 
 QUANTITIES = ("stein_rate", "hoeffding_rate", "mixed_rate", "alpha_rate", "beta_rate")
 SIDES = ("upper", "lower", "reference")
@@ -72,7 +73,7 @@ def _check_eps(eps: float) -> None:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
 
 
-def stein_upper_generic(curve: PsiCurve, n: int, eps: float, t: float) -> BoundReport:
+def stein_upper_generic(curve: ClassicalPair, n: int, eps: float, t: float) -> BoundReport:
     """Upper bound on (1/n) log beta_{n, eps} from the Renyi divergence at order t in [0, 1)."""
     _check_n(n)
     _check_eps(eps)
@@ -99,7 +100,7 @@ def _stein_sqrt_coefficient(log_inv: float, log_eta: float, variant: str) -> flo
     raise ValidationError(f"unknown variant {variant!r}; expected one of {STEIN_VARIANTS}")
 
 
-def stein_upper(curve: PsiCurve, n: int, eps: float, variant: str = "as_derived") -> BoundReport:
+def stein_upper(curve: ClassicalPair, n: int, eps: float, variant: str = "as_derived") -> BoundReport:
     """Upper bound on (1/n) log beta_{n, eps}: -D + coeff/sqrt(n) - 2 log 2 / n.
 
     The "as_printed" coefficient is 4 sqrt(2) log(1/eps) log(eta); the
@@ -118,7 +119,7 @@ def stein_upper(curve: PsiCurve, n: int, eps: float, variant: str = "as_derived"
     return BoundReport(n=n, quantity="stein_rate", side="upper", bound_value=value, parameters=params)
 
 
-def stein_lower(curve: PsiCurve, n: int, eps: float, variant: str = "as_derived") -> BoundReport:
+def stein_lower(curve: ClassicalPair, n: int, eps: float, variant: str = "as_derived") -> BoundReport:
     """Lower bound on (1/n) log beta_{n, eps}: -D - coeff/sqrt(n) with log(1/(1-eps))."""
     _check_n(n)
     _check_eps(eps)
@@ -133,7 +134,7 @@ def stein_lower(curve: PsiCurve, n: int, eps: float, variant: str = "as_derived"
     return BoundReport(n=n, quantity="stein_rate", side="lower", bound_value=value, parameters=params)
 
 
-def stein_upper_intermediate(curve: PsiCurve, n: int, eps: float, cosh_c: float) -> BoundReport:
+def stein_upper_intermediate(curve: ClassicalPair, n: int, eps: float, cosh_c: float) -> BoundReport:
     """Sharper Stein upper bound with a free parameter cosh_c > 1:
 
         -D + 2 sqrt(4 cosh_c (log eta)^2 log(1/eps)) / sqrt(n) - 2 log 2 / n,
@@ -166,7 +167,7 @@ def stein_upper_intermediate(curve: PsiCurve, n: int, eps: float, cosh_c: float)
     return BoundReport(n=n, quantity="stein_rate", side="upper", bound_value=value, parameters=params)
 
 
-def hoeffding_upper(curve: PsiCurve, n: int, r: float) -> BoundReport:
+def hoeffding_upper(curve: ClassicalPair, n: int, r: float) -> BoundReport:
     """Upper bound on (1/n) log beta at type-I budget exp(-n r):
 
         -H_r - h2(t_r) / ((1 - t_r) n),
@@ -200,7 +201,7 @@ class MixedUpperBounds(NamedTuple):
     beta: BoundReport
 
 
-def mixed_upper(curve: PsiCurve, n: int, a: float) -> MixedUpperBounds:
+def mixed_upper(curve: ClassicalPair, n: int, a: float) -> MixedUpperBounds:
     """Upper bounds at threshold a: (1/n) log e_n(a) <= -phi(a), and for the
     halfspace-type test, alpha rate <= -phi_hat(a), beta rate <= -phi(a)."""
     _check_n(n)
@@ -224,6 +225,12 @@ def mixed_upper(curve: PsiCurve, n: int, a: float) -> MixedUpperBounds:
 class ClassicalLowerBounds(NamedTuple):
     alpha: BoundReport
     beta: BoundReport
+
+
+@_memoized
+def _min_masses(pair: ClassicalPair) -> tuple[float, float]:
+    """(min p, min q), the masses the method-of-types penalty reads."""
+    return float(np.min(pair.p)), float(np.min(pair.q))
 
 
 def _types_penalty(n: int, card: int, minimum: float) -> tuple[float, float]:
@@ -254,14 +261,12 @@ def classical_lower(pair: ClassicalPair, n: int, r: float) -> ClassicalLowerBoun
 
     if n < card * (card - 1):
         return pair_invalid(f"needs n >= {card * (card - 1)}")
-    curve = pair.psi_curve()
     try:
-        t_r = solve_t_r(curve, r)
+        t_r = solve_t_r(pair, r)
     except ValidationError as exc:
         return pair_invalid(str(exc))
-    h_r = _hoeffding_at(curve, r, t_r)
-    p_min = float(np.min(pair.p))
-    q_min = float(np.min(pair.q))
+    h_r = _hoeffding_at(pair, r, t_r)
+    p_min, q_min = _min_masses(pair)
     common, c_n = _types_penalty(n, card, p_min)
     _, d_n = _types_penalty(n, card, q_min)
     params.update({"t_r": t_r, "a_r": h_r - r, "hoeffding_distance": h_r,
@@ -280,7 +285,7 @@ def _union_support_dim(rho: DensityMatrix, sigma: DensityMatrix) -> int:
 
 
 class _TypesSetup(NamedTuple):
-    curve: PsiCurve
+    pair: ClassicalPair
     common: float
     c: float
     p_min: float
@@ -292,9 +297,9 @@ def _quantum_types_setup(rho: DensityMatrix, sigma: DensityMatrix, n: int, param
 
     Records d in params; raises ValidationError with the reason the bound is
     unavailable (orthogonal supports, or n < d^2 (d^2 - 1)). The union
-    support dimension d and the induced pair's curve and minimal masses do
-    not depend on n: they are kept in rho.pair_memo(sigma), so that a sweep
-    over n reuses one curve and the searches memoized on it.
+    support dimension d does not depend on n and is kept in
+    rho.pair_memo(sigma), next to the state pair's one ClassicalPair, so
+    that a sweep over n reuses one pair and the searches memoized on it.
     """
     memo = rho.pair_memo(sigma)
     if "d" not in memo:
@@ -302,14 +307,14 @@ def _quantum_types_setup(rho: DensityMatrix, sigma: DensityMatrix, n: int, param
     d = memo["d"]
     card = d * d
     params["d"] = d
-    if "types" not in memo:
-        pair = build_classical_pair(rho.spectral(), sigma.spectral())
-        memo["types"] = (pair.psi_curve(), float(np.min(pair.p)), float(np.min(pair.q)))
-    curve, p_min, q_min = memo["types"]
+    pair = _state_pair(rho, sigma)
+    if pair.orthogonal_supports:
+        raise ValidationError("orthogonal supports: the classical alphabet is empty")
     if n < card * (card - 1):
         raise ValidationError(f"needs n >= {card * (card - 1)}")
+    p_min, q_min = _min_masses(pair)
     common, c = _types_penalty(n, card, min(p_min, q_min))
-    return _TypesSetup(curve, common, c, p_min, q_min)
+    return _TypesSetup(pair, common, c, p_min, q_min)
 
 
 def quantum_mixed_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int, r: float) -> BoundReport:
@@ -326,10 +331,10 @@ def quantum_mixed_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int, r: flo
     params: dict[str, Any] = {"r": r}
     try:
         setup = _quantum_types_setup(rho, sigma, n, params)
-        t_r = solve_t_r(setup.curve, r)
+        t_r = solve_t_r(setup.pair, r)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    h_r = _hoeffding_at(setup.curve, r, t_r)
+    h_r = _hoeffding_at(setup.pair, r, t_r)
     params.update({"t_r": t_r, "a_r": h_r - r, "hoeffding_distance": h_r,
                    "c": setup.c, "p_min": setup.p_min, "q_min": setup.q_min})
     return BoundReport(n=n, quantity="mixed_rate", side="lower",
@@ -348,7 +353,7 @@ def quantum_chernoff_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> 
         setup = _quantum_types_setup(rho, sigma, n, params)
     except ValidationError as exc:
         return _invalid(n, "mixed_rate", "lower", params, str(exc))
-    chern, t_0 = chernoff_distance(setup.curve)
+    chern, t_0 = chernoff_distance(setup.pair)
     if not 0.0 < t_0 < 1.0:
         return _invalid(n, "mixed_rate", "lower", params, "psi' has no root in (0, 1)")
     params.update({"t_0": t_0, "chernoff": chern, "c": setup.c,
@@ -357,7 +362,7 @@ def quantum_chernoff_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> 
                        bound_value=-chern + setup.common - setup.c / n, parameters=params)
 
 
-def second_order_reference(curve: PsiCurve, n: int, eps: float) -> BoundReport:
+def second_order_reference(curve: ClassicalPair, n: int, eps: float) -> BoundReport:
     """Asymptotic reference line -D + sqrt(V) q(eps) / sqrt(n), not a proven bound.
 
     q is the standard normal quantile (cumulative distribution from -inf),

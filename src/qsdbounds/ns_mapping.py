@@ -15,57 +15,29 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .divergences import PsiCurve, _logsumexp, psi_curve_from_probabilities
+from .divergences import ClassicalPair, _logsumexp, build_psi
 from .errors import ResourceLimitError, ValidationError
-from .linalg import SpectralDecomposition, _fsum, support_overlap_table
+from .linalg import SpectralDecomposition, _fsum
 
 MAX_TYPES = 2_000_000
 
 
-@dataclass(frozen=True)
-class ClassicalPair:
-    """Weighted measure pair on the joint-support alphabet; shared support by construction.
-
-    The pair keeps its psi curve once built, so a sweep over n reuses the
-    searches memoized on it; the curve takes no part in equality or repr.
-    """
-
-    labels: tuple[tuple[int, int], ...]
-    p: np.ndarray
-    q: np.ndarray
-    _curve: PsiCurve | None = field(default=None, init=False, compare=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def psi_curve(self) -> PsiCurve:
-        if self._curve is None:
-            object.__setattr__(self, "_curve", psi_curve_from_probabilities(self.p, self.q))
-        return self._curve
-
-
 def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:
-    """ClassicalPair of two PSD operators given by spectral decompositions.
+    """`build_psi` of two PSD operators, with orthogonal supports rejected.
 
     Alphabet letters are pairs of eigenvalue indices with projector overlap
-    above linalg.WEIGHT_CUTOFF; orthogonal supports leave an empty alphabet
-    and are rejected.
+    above linalg.WEIGHT_CUTOFF; orthogonal supports leave an empty alphabet,
+    which raises ValidationError.
     """
-    rows = support_overlap_table(a_dec, b_dec)
-    if not rows:
+    pair = build_psi(a_dec, b_dec)
+    if pair.orthogonal_supports:
         raise ValidationError("orthogonal supports: the classical alphabet is empty")
-    labels = tuple((i, j) for (i, j, _, _, _) in rows)
-    p = np.array([a * w for (_, _, a, _, w) in rows], dtype=np.float64)
-    q = np.array([b * w for (_, _, _, b, w) in rows], dtype=np.float64)
-    p.flags.writeable = False
-    q.flags.writeable = False
-    return ClassicalPair(labels=labels, p=p, q=q)
+    return pair
 
 
 @dataclass(frozen=True)

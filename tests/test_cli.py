@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from qsdbounds import BinaryPair, DensityMatrix, en_bounds, rate_curve, rate_curve_csv
-from qsdbounds import cli
+from qsdbounds import _search, cli, linalg
 from qsdbounds.cli import main, parse_state_file
 
 from helpers import random_full_rank_state, state_to_json_dict
@@ -255,6 +256,61 @@ def test_exit_code_non_finite_entry(tmp_path, capsys, token):
         code = main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error[")
+
+
+def test_exit_code_boolean_dim(tmp_path, capsys):
+    # JSON true is a Python bool, which is an int: it must not pass as dim 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": True, "matrix": [[[1.0, 0.0]]]}))
+    code = main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "dim must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+@pytest.mark.parametrize("command", ["stein", "chernoff", "hoeffding", "binary"])
+def test_exit_code_n_max_below_one(tmp_path, pair_files, capsys, command, n_max):
+    rho_f, sig_f = pair_files
+    states = ["--rho", rho_f, "--sigma", sig_f]
+    extra = {
+        "stein": [*states, "--eps", "0.1"],
+        "chernoff": states,
+        "hoeffding": [*states, "--r", "0.05"],
+        "binary": ["--p", "0.2", "--q", "0.6"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *extra, "--n-max", n_max, "--out", str(out)]) == 2
+    assert f"need n_max >= 1, got {n_max}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _count_calls(monkeypatch, counts: dict, fn) -> None:
+    """Count calls of fn through every qsdbounds module that binds it."""
+
+    def wrapper(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qsdbounds" or name.startswith("qsdbounds.")) and getattr(
+            module, fn.__name__, None
+        ) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+
+
+def test_chernoff_builds_one_pair_and_solves_its_search_once(tmp_path, pair_files, monkeypatch):
+    # the upper rate -phi(0) and the lower bound's Chernoff distance read the
+    # one joint-support pair of the state pair, so they share one bisection
+    counts = {"support_overlap_table": 0, "bisect_decreasing": 0}
+    _count_calls(monkeypatch, counts, linalg.support_overlap_table)
+    _count_calls(monkeypatch, counts, _search.bisect_decreasing)
+    rho_f, sig_f = pair_files
+    out = tmp_path / "out"
+    assert main(["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "20", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "chernoff.csv").read_text().splitlines()[1:]]
+    assert [row[2] != "" for row in rows] == [n >= 12 for n in range(1, 21)]
+    assert counts == {"support_overlap_table": 1, "bisect_decreasing": 1}
 
 
 def test_divergences_runs_on_a_128_dim_state_pair(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsdbounds import (
+    ClassicalPair,
     DegeneracyError,
     DensityMatrix,
     QsdError,
@@ -427,6 +428,30 @@ def test_psi_curve_from_probabilities_validation():
         psi_curve_from_probabilities([0.9, 0.1], [0.5, -0.5])
     with pytest.raises(ValidationError):
         psi_curve_from_probabilities([0.9, 0.1], [0.5])
+    with pytest.raises(ValidationError):
+        psi_curve_from_probabilities([], [])
+
+
+def test_classical_pair_validates_and_freezes_its_arrays_at_construction():
+    labels = ((0, 0), (1, 1))
+    for p, q, lab in (
+        ([0.5, 0.5], [1.0], labels),
+        ([0.5, 0.5], [0.4, 0.6], ((0, 0),)),
+        ([0.5, 0.0], [0.4, 0.6], labels),
+        ([0.5, 0.5], [0.4, math.nan], labels),
+        ([[0.5, 0.5]], [[0.4, 0.6]], labels),
+    ):
+        with pytest.raises(ValidationError):
+            ClassicalPair(labels=lab, p=np.array(p), q=np.array(q))
+    p = np.array([0.9, 0.1])
+    pair = ClassicalPair(labels=labels, p=p, q=[0.4, 0.6])
+    p[0] = 0.5  # the pair holds a copy, so it does not see this
+    assert pair.p.tolist() == [0.9, 0.1] and pair.size == 2 and pair.a_support_contained
+    assert pair.log_ratios.tolist() == (np.log([0.9, 0.1]) - np.log([0.4, 0.6])).tolist()
+    for arr in (pair.p, pair.q, pair.log_p, pair.log_q, pair.log_ratios):
+        assert not arr.flags.writeable
+    empty = ClassicalPair(labels=(), p=np.empty(0), q=np.empty(0))
+    assert empty.orthogonal_supports and psi(empty, 0.5) == -math.inf
 
 
 def test_psi_moments_are_bit_identical_to_the_separate_transforms():

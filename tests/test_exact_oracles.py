@@ -523,3 +523,56 @@ def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():
     for n in (2, 3, 4):
         assert np_test_errors(rho, sigma, n, a).degenerate_kernel
         assert not np_test_errors(rho, sigma, n, a + 0.05).degenerate_kernel
+
+
+_ORACLES = {
+    "beta_eps_exact": lambda rho, sigma, n: beta_eps_exact(rho, sigma, n, 0.1),
+    "quantum_mixed_error_exact": lambda rho, sigma, n: quantum_mixed_error_exact(rho, sigma, n, 0.0),
+    "np_test_errors": lambda rho, sigma, n: np_test_errors(rho, sigma, n, 0.0),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, [1, 2.5], [2.0], (1, 2.0)],
+                         ids=["2.5", "2.0", "float64", "bool", "list-2.5", "list-2.0", "tuple-2.0"])
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_quantum_oracles_reject_a_non_integer_n(oracle, n):
+    rho, sigma = qubit_pairs(811, 1)[0]
+    with pytest.raises(ValidationError, match="integer"):
+        _ORACLES[oracle](rho, sigma, n)
+    # numpy integers are integers
+    assert _ORACLES[oracle](rho, sigma, np.int64(2)) == _ORACLES[oracle](rho, sigma, 2)
+
+
+def _gaussian_state(rng: np.random.Generator, d: int) -> DensityMatrix:
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = z @ z.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def test_np_search_ends_at_its_rounding_floor_without_the_gap_tolerance(monkeypatch):
+    # with _GAP_RTOL = 0 only the stop on a round that no longer shrinks
+    # primal - dual can end a search that does not close exactly; the third
+    # qubit pair of this seed needs that stop
+    rng = np.random.default_rng(3)
+    pairs = [(_gaussian_state(rng, 2), _gaussian_state(rng, 2)) for _ in range(4)]
+    pairs.append((_gaussian_state(rng, 3), _gaussian_state(rng, 3)))
+    ns = list(range(1, 6))
+    want = [exact_oracles._beta_eps_sweep(rho, sigma, ns, 0.1) for rho, sigma in pairs]
+    rounds = np.zeros(len(ns), dtype=int)
+    np_round = exact_oracles._np_round
+
+    def counted(stacks, lam, open_, tol):
+        rounds[:] += open_
+        return np_round(stacks, lam, open_, tol)
+
+    monkeypatch.setattr(exact_oracles, "_np_round", counted)
+    monkeypatch.setattr(exact_oracles, "_GAP_RTOL", 0.0)
+    floor_stops = 0
+    for (rho, sigma), (want_dual, _) in zip(pairs, want):
+        rounds[:] = 0
+        dual, primal = exact_oracles._beta_eps_sweep(rho, sigma, ns, 0.1)
+        assert rounds.max() <= 40, rounds
+        assert np.all(np.abs(dual - want_dual) <= 1e-12 * want_dual)
+        assert np.all(np.abs(primal - dual) <= 1e-12 * primal)
+        floor_stops += int(np.count_nonzero(primal > dual))
+    assert floor_stops >= 1  # a search that ended with its gap still open

@@ -30,7 +30,7 @@ from qsdbounds import (
     stein_upper_generic,
     stein_upper_intermediate,
 )
-from qsdbounds import divergences, finite_bounds, linalg
+from qsdbounds import divergences, linalg
 from qsdbounds.ns_mapping import ClassicalPair
 
 from helpers import qubit_pairs
@@ -216,11 +216,10 @@ def test_classical_lower_holds_at_symmetric_chernoff_point():
     p = np.array([0.9, 0.1])
     q = np.array([0.1, 0.9])
     pair = ClassicalPair(labels=((0, 0), (1, 1)), p=p, q=q)
-    curve = pair.psi_curve()
-    c, _ = chernoff_distance(curve)
+    c, _ = chernoff_distance(pair)
     n = 10
     out = classical_lower(pair, n, c)
-    errs = classical_exact_errors(pair, n, a_r(curve, c))
+    errs = classical_exact_errors(pair, n, a_r(pair, c))
     assert math.log(errs.alpha) / n >= out.alpha.bound_value
     assert math.log(errs.beta) / n >= out.beta.bound_value
 
@@ -329,7 +328,7 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
     # fresh states: their memos must not have been filled by another test
     rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
     sig = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
-    counts = {"bisect": 0, "eigh": 0, "pair": 0}
+    counts = {"bisect": 0, "eigh": 0, "table": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -340,9 +339,9 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
 
     monkeypatch.setattr(divergences, "bisect_decreasing", counting("bisect", divergences.bisect_decreasing))
     monkeypatch.setattr(linalg, "eigh", counting("eigh", linalg.eigh))
-    monkeypatch.setattr(finite_bounds, "build_classical_pair",
-                        counting("pair", finite_bounds.build_classical_pair))
-    curve = build_psi(rho.spectral(), sig.spectral())
+    monkeypatch.setattr(divergences, "support_overlap_table",
+                        counting("table", divergences.support_overlap_table))
+    curve = divergences._state_pair(rho, sig)
     r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
     a = 0.5 * (psi_prime(curve, 0.0) + psi_prime(curve, 1.0))
     sweep = [
@@ -351,12 +350,13 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
         for n in range(1, 81)
     ]
     assert all(rep.valid for row in sweep[11:] for rep in row)
-    # one bisection per (curve, r or a): t_r and the conjugate point at a on
-    # the curve; the conjugate point at 0 and t_r on the induced pair's curve
-    assert counts == {"bisect": 4, "eigh": 2, "pair": 1}
-    # the quantum bounds of one state pair read one induced curve at every n
-    induced = rho.pair_memo(sig)["types"][0]
-    assert {key[0] for key in induced._memo} == {"_conjugate_point", "solve_t_r"}
+    # one joint-support table per state pair, and one bisection per r or a on
+    # its pair: t_r (shared by hoeffding_upper and quantum_mixed_lower), the
+    # conjugate point at a, and the conjugate point at 0
+    assert counts == {"bisect": 3, "eigh": 2, "table": 1}
+    # the quantum bounds read the same pair at every n
+    assert rho.pair_memo(sig)["pair"] is curve
+    assert {key[0] for key in curve._memo} == {"_conjugate_point", "solve_t_r", "_min_masses"}
 
 
 def test_a_classical_lower_sweep_solves_t_r_once(monkeypatch):
@@ -369,16 +369,13 @@ def test_a_classical_lower_sweep_solves_t_r_once(monkeypatch):
 
     monkeypatch.setattr(divergences, "bisect_decreasing", counting)
     pair = ClassicalPair(labels=((0, 0), (1, 1)), p=np.array([0.8, 0.2]), q=np.array([0.3, 0.7]))
-    curve = pair.psi_curve()
-    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    r = -0.5 * (psi(pair, 1.0) + psi(pair, 0.0) + psi_prime(pair, 0.0))
     sweep = [classical_lower(pair, n, r) for n in range(2, 81)]
     assert all(out.alpha.valid and out.beta.valid for out in sweep)
-    # the pair keeps one curve, so t_r is solved at the first n only
+    # the pair keeps its searches, so t_r is solved at the first n only
     assert calls[0] == 1
-    assert pair.psi_curve() is curve
-    # the kept curve takes no part in equality or repr
-    assert pair == ClassicalPair(labels=pair.labels, p=pair.p, q=pair.q)
-    assert "_curve" not in repr(pair)
+    # the memo and the derived arrays take no part in repr
+    assert "_memo" not in repr(pair) and "log_p" not in repr(pair)
 
 
 def test_concurrent_first_calls_agree_with_a_serial_sweep():

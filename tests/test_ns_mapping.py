@@ -10,10 +10,10 @@ from qsdbounds import (
     TypeVector,
     ValidationError,
     build_classical_pair,
-    build_psi,
     classical_exact_errors,
     halfspace_type_approximation,
     iter_types,
+    matrix_power_support,
     psi,
     sequence_type,
     type_class_log_probability,
@@ -57,13 +57,14 @@ def test_alphabet_at_most_d_squared():
 
 
 def test_psi_identity_between_quantum_and_classical():
-    for rho, sig in qubit_pairs(202, 5):
-        quantum = build_psi(rho.spectral(), sig.spectral())
-        classical = build_classical_pair(rho.spectral(), sig.spectral()).psi_curve()
+    # the pair's classical log-moment curve is log Tr rho^t sigma^(1-t)
+    for rho, sig in qubit_pairs(202, 5) + [(ZERO, PLUS)]:
+        classical = build_classical_pair(rho.spectral(), sig.spectral())
         for t in np.linspace(0.0, 1.0, 11):
-            assert psi(classical, float(t)) == pytest.approx(
-                psi(quantum, float(t)), abs=1e-9
-            )
+            a_t = matrix_power_support(rho.spectral(), float(t))
+            b_rest = matrix_power_support(sig.spectral(), 1.0 - float(t))
+            quantum = math.log(float(np.einsum("ij,ji->", a_t, b_rest).real))
+            assert psi(classical, float(t)) == pytest.approx(quantum, abs=1e-9)
 
 
 def test_type_vector_validation():
