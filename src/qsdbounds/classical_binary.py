@@ -18,6 +18,7 @@ import numpy as np
 
 from .divergences import _logsumexp_rows, chernoff_distance, psi_curve_from_probabilities
 from .errors import DegeneracyError, ValidationError
+from .linalg import _check_count, _check_threshold, _mixed_weight
 from .ns_mapping import _log_factorials
 
 _ROW_BLOCK = 64  # rows of n per log-domain table of e_n
@@ -63,8 +64,8 @@ def _en_exact_log_range(bp: BinaryPair, a: float, first: int, last: int) -> np.n
 
 def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
     """log e_n(a), accumulated in the log domain term by term."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_count(n)
+    _check_threshold(n, a)
     return float(_en_exact_log_range(bp, a, n, n)[0])
 
 
@@ -113,11 +114,13 @@ class EnBounds(NamedTuple):
 def _en_bounds_range(bp: BinaryPair, a: float, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) of `en_bounds` for n = first..last, one betainc call per column.
 
-    The crossover s does not depend on n, so the window is checked once.
+    The crossover s does not depend on n, so the window is checked once,
+    and so is the largest weight exp(-n a), which must be finite.
     """
     s = crossover_s(bp, a)
     if not 0.0 < s < 1.0:
         raise ValidationError(f"threshold outside the admissible window: s = {s!r}")
+    _mixed_weight(last, a)
     from scipy.special import betainc
 
     n = np.arange(first, last + 1)
@@ -139,8 +142,7 @@ def en_bounds(bp: BinaryPair, n: int, a: float) -> EnBounds:
     with I the regularized incomplete beta of `inc_beta_reg` and s the
     crossover fraction, which must lie strictly inside (0, 1).
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_count(n)
     lower, upper = _en_bounds_range(bp, a, n, n)
     return EnBounds(lower=float(lower[0]), upper=float(upper[0]))
 
@@ -171,9 +173,11 @@ def rate_curve(bp: BinaryPair, a: float, n_max: int) -> list[RateCurveRow]:
     """Error-rate table for n = 1..n_max: -log(e_n)/n, its two-sided bounds
     from en_bounds (upper bound on e_n gives the lower rate), and the
     Chernoff constant. Bound columns are NaN when the crossover is outside
-    (0, 1), and a bound cell is NaN where its envelope underflows to 0."""
-    if n_max < 1:
-        raise ValidationError(f"need n_max >= 1, got {n_max}")
+    (0, 1) or exp(-n_max a) overflows, and a bound cell is NaN where its
+    envelope underflows to 0. n_max must be an integer, and a and -n_max a
+    finite."""
+    _check_count(n_max, "n_max")
+    _check_threshold(n_max, a)
     curve = psi_curve_from_probabilities([bp.p, 1.0 - bp.p], [bp.q, 1.0 - bp.q])
     chern, _ = chernoff_distance(curve)
     ns = range(1, n_max + 1)

@@ -25,6 +25,7 @@ from .linalg import (
     DensityMatrix,
     SpectralDecomposition,
     _fsum,
+    _fsum_rows,
     support_overlap_table,
     trace_norm,
 )
@@ -138,27 +139,22 @@ def psi_curve_from_probabilities(p, q) -> ClassicalPair:
 
 
 def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
-    """log sum exp over each row of a 2-D array by a shifted fsum; -inf for empty rows.
+    """log sum exp over each row of a 2-D array by a shifted exact sum; -inf for empty rows.
 
-    math.fsum is exactly rounded in any order, but terms spanning hundreds of
-    decades out of order cost it many partial sums: on the 601 binomial
-    terms of e_n at n = 600 (1e-300 to 1) it took 268 us as given and 30 us
-    sorted in descending order, sort included (2-core Xeon). So the rows are
-    shifted, exponentiated and sorted as one array and each row is summed
-    largest first; the result is the same float. Each row's log is
-    math.log, which np.log can miss by 1 ulp. A row whose maximum is not
-    finite gives that maximum.
+    Each row is shifted by its maximum m and exponentiated, and all rows
+    are summed at once by `linalg._fsum_rows`, which returns math.fsum of
+    each row, the exactly rounded sum, without a Python loop or list. Each
+    row's log is math.log, which np.log can miss by 1 ulp. A row whose
+    maximum is not finite gives that maximum.
     """
-    out = np.full(values.shape[0], -math.inf)
     if values.shape[1] == 0:
-        return out
-    m = values.max(axis=1)
-    finite = np.isfinite(m)
-    out[~finite] = m[~finite]
-    terms = np.exp(values - np.where(finite, m, 0.0)[:, None])
-    terms.sort(axis=1)
-    for i in np.flatnonzero(finite):
-        out[i] = m[i] + math.log(_fsum(terms[i, ::-1]))
+        return np.full(values.shape[0], -math.inf)
+    out = values.max(axis=1)
+    finite = np.isfinite(out)
+    with np.errstate(invalid="ignore"):  # inf - inf where the maximum is not finite
+        terms = values - out[:, None]
+    sums = _fsum_rows(np.exp(terms, out=terms))
+    out[finite] += [math.log(x) for x in sums[finite].tolist()]
     return out
 
 

@@ -22,7 +22,15 @@ import numpy as np
 
 from ._search import _MAX_ITER
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
-from .linalg import DIM_CAP, DensityMatrix, _fsum, matrix_power_support, trace_norm
+from .linalg import (
+    DIM_CAP,
+    DensityMatrix,
+    _check_count,
+    _fsum,
+    _mixed_weight,
+    matrix_power_support,
+    trace_norm,
+)
 from .linalg import positive_part_trace  # noqa: F401  (bench/test_bench.py traces this binding)
 from .ns_mapping import _type_sums, _type_table
 
@@ -210,10 +218,7 @@ def _block_pair(
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_count(n)
     if not _within_cap(rho.dim, n):
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
     lams, mults = _block_shapes(n, rho.dim)
@@ -228,7 +233,7 @@ def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, 
     and <= 48 for qutrits at n = 7.
     """
     blocks = _block_pair(rho, sigma, n)
-    kappa = math.exp(-n * a)
+    kappa = _mixed_weight(n, a)
     norm = math.fsum([m * trace_norm(kappa * r - s) for m, r, s in blocks])
     return (kappa + 1.0) / 2.0 - norm / 2.0
 
@@ -309,7 +314,7 @@ def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -
     is then one choice among several.
     """
     stacks = _stacks([_block_pair(rho, sigma, n)])
-    (alpha, beta), flag = _np_round(stacks, np.array([math.exp(-n * a)]), np.ones(1, bool), _KERNEL_TOL)
+    (alpha, beta), flag = _np_round(stacks, np.array([_mixed_weight(n, a)]), np.ones(1, bool), _KERNEL_TOL)
     return NPTestErrors(alpha=float(alpha[0]), beta=float(beta[0]), degenerate_kernel=bool(flag[0]))
 
 
@@ -402,8 +407,7 @@ def classical_beta_eps_exact(p, q, n: int, eps: float) -> float:
         raise ValidationError("p and q must each sum to 1 within 1e-9")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_count(n)
     counts, log_coef = _type_table(n, pa.size)
     zero_p = pa == 0.0
     zero_q = qa == 0.0

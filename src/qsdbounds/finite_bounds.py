@@ -30,7 +30,7 @@ from .divergences import (
     solve_t_r,
 )
 from .errors import ValidationError
-from .linalg import SUPPORT_CUTOFF, DensityMatrix
+from .linalg import SUPPORT_CUTOFF, DensityMatrix, _check_threshold
 
 QUANTITIES = ("stein_rate", "hoeffding_rate", "mixed_rate", "alpha_rate", "beta_rate")
 SIDES = ("upper", "lower", "reference")
@@ -203,8 +203,10 @@ class MixedUpperBounds(NamedTuple):
 
 def mixed_upper(curve: ClassicalPair, n: int, a: float) -> MixedUpperBounds:
     """Upper bounds at threshold a: (1/n) log e_n(a) <= -phi(a), and for the
-    halfspace-type test, alpha rate <= -phi_hat(a), beta rate <= -phi(a)."""
+    halfspace-type test, alpha rate <= -phi_hat(a), beta rate <= -phi(a).
+    a and -n a must be finite."""
     _check_n(n)
+    _check_threshold(n, a)
     params: dict[str, Any] = {"a": a}
     if curve.orthogonal_supports:
         reason = "orthogonal supports"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,21 +23,117 @@ DIM_CAP = 4096  # largest d^n of a tensor power or an exact oracle
 DEFAULT_GROUP_TOL = 1e-8  # eigenvalue gap, relative to max(1, ||H||), that splits clusters
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at most this times the largest count as zero
 WEIGHT_CUTOFF = 1e-12  # overlaps Tr P_i Q_j at most this leave the joint support
-_FSUM_CHUNK = 1 << 16
+_FSUM_TREE_MIN = 4096  # shortest 1-D array that `_fsum` sums by `_fsum_rows`, not math.fsum
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D float array, bit for bit, without Python floats.
+
+    Each row is summed by a pairwise TwoSum cascade, vectorised over the
+    rows: a level adds the first half of the columns to the second and
+    keeps the rounding error of every addition exactly, so a row's exact
+    sum S is hi + (its n - 1 error terms). numpy sums those into lo in an
+    unspecified order, and a sum of m terms in any order is off by at most
+    gamma_(m-1) times the sum of their magnitudes (Higham, ch. 4; the Sum2
+    bound of Ogita, Rump and Oishi 2005). From the computed magnitude sum
+    that gives E >= |lo - their sum|, with room for the rounding and
+    underflow of E itself. With r = fl(hi + lo) and t = hi + lo - r
+    exactly, |S - r| <= |t| + E. A row with |t| + E below half the gap
+    between r and its neighbour towards 0 has S strictly nearer r than any
+    other float: r is the exactly rounded sum, which is what fsum returns.
+    Every other row falls back to math.fsum,
+    which also gives its inf, nan or exception: a row near a rounding
+    boundary, summing to 0 or to a subnormal, or with an entry not in
+    [-2^1022 / n, 2^1022 / n] (non-finite, or large enough that fsum may
+    overflow an intermediate sum).
+
+    On the 64 x 601 log-domain terms of e_n (1 down to 1e-300) it takes
+    0.35 ms, against 2.2 ms for sorting each row and calling fsum, with no
+    fallback (2-core Xeon).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    rows, n = a.shape
+    out = np.zeros(rows)
+    if rows == 0 or n == 0:
+        return out
+    # columns as contiguous blocks, summed in place: level by level, the
+    # partial sums stay at the front and each level's errors take the
+    # places of the addends they replace, so s ends as [hi, errors...]
+    s = np.array(a.T, order="C")
+    tmp = np.empty((2, n // 2, rows))
+    width = n
+    with np.errstate(over="ignore", invalid="ignore"):
+        while width > 1:
+            h = width // 2
+            x, y = s[:h], s[width - h : width]  # an odd middle column carries over
+            t, z = tmp[0, :h], tmp[1, :h]
+            np.add(x, y, out=t)
+            np.subtract(t, x, out=z)
+            np.subtract(y, z, out=y)
+            np.subtract(t, z, out=z)
+            np.subtract(x, z, out=z)
+            y += z  # (x - (t - z)) + (y - z) with z = t - x: the error of t
+            x[...] = t
+            width -= h
+        hi, errors = s[0], s[1:]
+        lo = errors.sum(axis=0)
+        bound = np.abs(errors, out=errors).sum(axis=0)
+        bound *= n * 2.0**-52  # 2 n u >= gamma_(n-2) / (1 - gamma_(n-2))
+        bound += 5e-324
+        r = hi + lo
+        z = r - hi
+        bound += np.abs((hi - (r - z)) + (lo - z))
+        mag = np.abs(r)
+        big = 2.0**1022 / n  # below it no partial sum of fsum or of the cascade overflows
+        ok = bound < (mag - np.nextafter(mag, 0.0)) * 0.5
+        ok &= (a.max(axis=1) <= big) & (a.min(axis=1) >= -big)
+    out[ok] = r[ok]
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = math.fsum(a[i].tolist())
+    return out
 
 
 def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a 1-D float array, fed to it as Python floats.
+    """math.fsum of a 1-D float array: fed to it as Python floats, or by
+    `_fsum_rows` from _FSUM_TREE_MIN entries on, with the same result.
 
     fsum over an ndarray converts one numpy scalar at a time; converting
-    with tolist() first is 2.5x faster at 4 entries and 1.2x at 2M. Long
-    arrays go over in chunks, so that at most one chunk's Python floats
-    exist at a time (a whole 2M-entry array would need 62 MB of them).
+    with tolist() first is 2.5x faster at 4 entries. `_fsum_rows` has a
+    fixed cost of about 0.1 ms (120 us at 1,024 entries) and wins from
+    about 4,096: 176 vs 149 us there on uniform entries and 261 vs 151 us
+    on psi-like weights spanning 13 decades, 2.3 vs 0.8 ms at 65,536
+    (2-core Xeon). It holds two float64 copies of the array, not a list of
+    Python floats (62 MB at 2M entries).
     """
-    if values.size <= _FSUM_CHUNK:
+    if values.size < _FSUM_TREE_MIN:
         return math.fsum(values.tolist())
-    chunks = (values[i : i + _FSUM_CHUNK].tolist() for i in range(0, values.size, _FSUM_CHUNK))
-    return math.fsum(chain.from_iterable(chunks))
+    return float(_fsum_rows(values.reshape(1, -1))[0])
+
+
+def _check_count(n, name: str = "n") -> None:
+    """Require a copy count n >= 1 given as a Python or numpy integer; a bool is not a count."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"need {name} >= 1, got {n}")
+
+
+def _check_threshold(n: int, a: float) -> None:
+    """Require a mixed-error threshold a with a and -n a finite at n copies."""
+    if not (math.isfinite(a) and math.isfinite(n * a)):
+        raise ValidationError(f"threshold a and -n a must be finite, got a={a!r} at n={n}")
+
+
+def _mixed_weight(n: int, a: float) -> float:
+    """exp(-n a), the weight of the type-I error in the mixed error at threshold a.
+
+    Raises ValidationError unless a, -n a and exp(-n a) are all finite.
+    """
+    _check_threshold(n, a)
+    try:
+        return math.exp(-n * a)
+    except OverflowError:
+        raise ValidationError(f"exp(-n a) overflows at n={n}, a={a!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

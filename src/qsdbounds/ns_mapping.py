@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergences import ClassicalPair, _logsumexp, build_psi
 from .errors import ResourceLimitError, ValidationError
-from .linalg import SpectralDecomposition, _fsum
+from .linalg import SpectralDecomposition, _check_count, _check_threshold, _fsum
 
 MAX_TYPES = 2_000_000
 
@@ -266,8 +266,8 @@ def classical_exact_errors_log(p, q, n: int, a: float) -> tuple[float, float, fl
         raise ValidationError("p and q must be nonempty vectors of equal length")
     if np.any(pa <= 0.0) or np.any(qa <= 0.0):
         raise ValidationError("p and q must be strictly positive")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    _check_count(n)
+    _check_threshold(n, a)
     counts, log_coef = _type_table(n, pa.size)
     log_p = np.log(pa)
     log_q = np.log(qa)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -5,7 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from qsdbounds import BinaryPair, DensityMatrix, en_bounds, rate_curve, rate_curve_csv
+from qsdbounds import (
+    BinaryPair,
+    DensityMatrix,
+    ValidationError,
+    classical_exact_errors,
+    en_bounds,
+    mixed_upper,
+    psi_curve_from_probabilities,
+    rate_curve,
+    rate_curve_csv,
+)
 from qsdbounds import _search, cli, linalg
 from qsdbounds.cli import main, parse_state_file
 
@@ -197,6 +208,50 @@ def test_binary_leaves_underflowed_envelope_cells_empty(tmp_path):
         assert (lower == "") == (up == 0.0)
         assert (upper == "") == (lo == 0.0)
     assert lines[-1].split(",")[3] == "" and lines[0].split(",")[3] != ""
+
+
+@pytest.mark.parametrize(
+    "a,digest",
+    [
+        ("0", "d742eb5338b8a2d2b5f307b2cc58125be99886a1ec34f76f1635772ddc9693ae"),
+        ("0.25", "be4bfcdb3a19aea4136e3034595674725f853f7945b401e30638358ef2407d97"),
+    ],
+)
+def test_binary_csv_bytes_are_pinned(tmp_path, a, digest):
+    # exactly rounded row sums: the 600-row curve may not move by one byte
+    out = tmp_path / "out"
+    assert main(["binary", "--p", "0.2", "--q", "0.6", "--a", a, "--n-max", "600", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "binary_rate.csv").read_bytes()).hexdigest() == digest
+
+
+_FOUR_LETTERS = psi_curve_from_probabilities([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        ["oracle", "--n", "4", "--a", "nan"],
+        ["oracle", "--n", "4", "--a", "-1000"],
+        ["binary", "--p", "0.2", "--q", "0.6", "--n-max", "5", "--a", "nan"],
+        ["binary", "--p", "0.2", "--q", "0.6", "--n-max", "5", "--a", "1e308"],
+        lambda: mixed_upper(_FOUR_LETTERS, 3, math.nan),
+        lambda: classical_exact_errors(_FOUR_LETTERS, 3, math.nan),
+    ],
+    ids=["oracle-nan", "oracle-exp-overflow", "binary-nan", "binary-na-overflow",
+         "mixed_upper-nan", "classical_exact_errors-nan"],
+)
+def test_non_finite_threshold_is_rejected(tmp_path, pair_files, capsys, call):
+    # a, -n a and, where it is formed, exp(-n a) must be finite
+    if callable(call):
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
+        return
+    states = ["--rho", pair_files[0], "--sigma", pair_files[1]] if call[0] == "oracle" else []
+    out = tmp_path / "out"
+    assert main([*call, *states, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[invalid-input]" in err and ("must be finite" in err or "overflows" in err)
+    assert not out.exists()
 
 
 def test_hoeffding_csv_and_invalid_rate(tmp_path, pair_files):

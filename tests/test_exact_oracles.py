@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from qsdbounds import (
+    BinaryPair,
     DensityMatrix,
     ResourceLimitError,
     ValidationError,
     beta_eps_exact,
     build_psi,
     classical_beta_eps_exact,
+    classical_exact_errors,
+    en_bounds,
+    en_exact_log,
     np_test_errors,
     phi,
     phi_hat,
+    psi_curve_from_probabilities,
     quantum_mixed_error_exact,
+    rate_curve,
 )
 from qsdbounds import exact_oracles
 from qsdbounds.linalg import DIM_CAP, tensor_power
@@ -541,6 +547,25 @@ def test_quantum_oracles_reject_a_non_integer_n(oracle, n):
         _ORACLES[oracle](rho, sigma, n)
     # numpy integers are integers
     assert _ORACLES[oracle](rho, sigma, np.int64(2)) == _ORACLES[oracle](rho, sigma, 2)
+
+
+_CLASSICAL_ORACLES = {
+    "classical_beta_eps_exact": lambda n: classical_beta_eps_exact([0.5, 0.5], [0.3, 0.7], n, 0.1),
+    "classical_exact_errors": lambda n: classical_exact_errors(
+        psi_curve_from_probabilities([0.5, 0.5], [0.3, 0.7]), n, 0.0),
+    "rate_curve": lambda n: rate_curve(BinaryPair(0.2, 0.6), 0.0, n),
+    "en_exact_log": lambda n: en_exact_log(BinaryPair(0.2, 0.6), n, 0.0),
+    "en_bounds": lambda n: en_bounds(BinaryPair(0.2, 0.6), n, 0.0),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["2.5", "2.0", "bool"])
+@pytest.mark.parametrize("oracle", sorted(_CLASSICAL_ORACLES))
+def test_classical_oracles_reject_a_non_integer_n(oracle, n):
+    # the integer rule of the quantum oracles: True is not one copy
+    with pytest.raises(ValidationError, match="integer"):
+        _CLASSICAL_ORACLES[oracle](n)
+    assert _CLASSICAL_ORACLES[oracle](np.int64(2)) == _CLASSICAL_ORACLES[oracle](2)
 
 
 def _gaussian_state(rng: np.random.Generator, d: int) -> DensityMatrix:

@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdbounds import DensityMatrix, ResourceLimitError, ValidationError
 from qsdbounds.linalg import (
+    _fsum_rows,
     eigh,
     kron,
     matrix_power_support,
@@ -208,3 +212,47 @@ def test_eigh_agrees_between_diagonal_and_rotated_paths():
     rotated = eigh(((u * evals) @ u.conj().T))
     plain = eigh((np.diag(evals)))
     assert np.allclose(rotated.eigenvalues, plain.eigenvalues, atol=1e-12)
+
+
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _fsum_row(draw):
+    """One row of a kind that stresses an exactly rounded sum."""
+    kind = draw(st.sampled_from(("cancel", "tie", "tiny", "edge", "any")))
+    if kind == "cancel":
+        # huge terms that cancel exactly, leaving small ones
+        big = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30))
+        small = draw(st.lists(st.floats(-1e-3, 1e-3), max_size=4))
+        row = big + [-x for x in big] + small
+    elif kind == "tie":
+        # b plus exactly half an ulp of b, nudged by at most a tiny term, under cancelling noise
+        b = draw(st.floats(2.0**-900, 2.0**900))
+        nudge = draw(st.sampled_from((0.0, 1.0, -1.0))) * math.ulp(b) * 2.0**-40
+        noise = draw(st.lists(st.floats(-1e10, 1e10), max_size=6))
+        row = [b, math.ulp(b) / 2.0, nudge] + noise + [-x for x in noise]
+    elif kind == "tiny":
+        row = draw(st.lists(st.floats(-1e-300, 1e-300) | st.sampled_from(_EDGE[:6]), min_size=1, max_size=30))
+    elif kind == "edge":
+        row = draw(st.lists(st.floats(-1e5, 1e5) | st.sampled_from(_EDGE), min_size=1, max_size=30))
+    else:
+        row = draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=30))
+    return draw(st.permutations(row))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_fsum_row(), min_size=1, max_size=6))
+def test_fsum_rows_is_math_fsum_of_each_row(rows):
+    # ragged rows, padded with 0; a row that makes fsum raise makes the whole call raise
+    width = max(map(len, rows))
+    table = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    want = []
+    for row in table.tolist():
+        try:
+            want.append(repr(math.fsum(row)))
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _fsum_rows(table)
+            return
+    assert [repr(x) for x in _fsum_rows(table).tolist()] == want

@@ -15,6 +15,7 @@ from qsdbounds import (
     iter_types,
     matrix_power_support,
     psi,
+    psi_curve_from_probabilities,
     sequence_type,
     type_class_log_probability,
 )
@@ -224,6 +225,15 @@ def test_classical_exact_errors_match_brute_force():
         assert got.alpha == pytest.approx(alpha, abs=1e-12)
         assert got.beta == pytest.approx(beta, abs=1e-12)
         assert got.mixed == pytest.approx(mixed, abs=1e-12)
+
+
+def test_classical_exact_errors_repr_is_pinned():
+    # 47,905 types of four letters at n = 64, summed exactly rounded: not one bit may move
+    pair = psi_curve_from_probabilities([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+    assert repr(classical_exact_errors(pair, 64, 0.1)) == (
+        "ClassicalErrors(alpha=0.001216458419667169, beta=1.3129127708052242e-06, "
+        "mixed=3.3341281055168783e-06)"
+    )
 
 
 def test_classical_exact_errors_resource_cap():
