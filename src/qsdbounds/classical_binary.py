@@ -69,12 +69,7 @@ def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
     return float(_en_exact_log_range(bp, a, n, n)[0])
 
 
-def en_exact(bp: BinaryPair, n: int, a: float) -> float:
-    """Optimal mixed error e_n(a) for the binary pair."""
-    return math.exp(en_exact_log(bp, n, a))
-
-
-def crossover_s(bp: BinaryPair, a: float) -> float:
+def _crossover_s(bp: BinaryPair, a: float) -> float:
     """Fraction s where the two weighted likelihoods cross:
 
         s = (log((1-p)/(1-q)) - a) / log(q(1-p) / (p(1-q))).
@@ -117,7 +112,7 @@ def _en_bounds_range(bp: BinaryPair, a: float, first: int, last: int) -> tuple[n
     The crossover s does not depend on n, so the window is checked once,
     and so is the largest weight exp(-n a), which must be finite.
     """
-    s = crossover_s(bp, a)
+    s = _crossover_s(bp, a)
     if not 0.0 < s < 1.0:
         raise ValidationError(f"threshold outside the admissible window: s = {s!r}")
     _mixed_weight(last, a)
@@ -190,21 +185,3 @@ def rate_curve(bp: BinaryPair, a: float, n_max: int) -> list[RateCurveRow]:
         rate_lower = rate_upper = [math.nan] * n_max
     return [RateCurveRow(*row, chern) for row in zip(ns, rate_exact, rate_lower, rate_upper)]
 
-
-def _csv_cell(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return format(x, ".17g")
-
-
-def rate_curve_csv(rows: list[RateCurveRow]) -> str:
-    """Serialize rate_curve rows as CSV with 17-significant-digit floats."""
-    lines = ["n,rate_exact,rate_lower,rate_upper,chernoff"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [str(row.n)]
-                + [_csv_cell(x) for x in (row.rate_exact, row.rate_lower, row.rate_upper, row.chernoff)]
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .classical_binary import BinaryPair, rate_curve, rate_curve_csv
+from .classical_binary import BinaryPair, rate_curve
 from .divergences import _state_pair, profile_from_curve, psi_moments
 from .errors import QsdError, ResourceLimitError, ValidationError
 from .exact_oracles import _within_cap, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
@@ -118,7 +118,7 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     print(path)
 
 
-def _write_csv(out_dir: str, name: str, header: str, rows: list[list]) -> None:
+def _write_csv(out_dir: str, name: str, header: str, rows: list) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
@@ -237,7 +237,7 @@ def _cmd_chernoff(args) -> int:
 def _cmd_binary(args) -> int:
     bp = BinaryPair(args.p, args.q)
     rows = rate_curve(bp, args.a, args.n_max)
-    _write_text(args.out, "binary_rate.csv", rate_curve_csv(rows))
+    _write_csv(args.out, "binary_rate.csv", "n,rate_exact,rate_lower,rate_upper,chernoff", rows)
     return 0
 
 

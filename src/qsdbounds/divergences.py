@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import bisect_decreasing
-from .errors import DegeneracyError, QsdError, ValidationError
-from .linalg import (
-    DensityMatrix,
-    SpectralDecomposition,
-    _fsum,
-    _fsum_rows,
-    support_overlap_table,
-    trace_norm,
-)
+from .errors import DegeneracyError, ValidationError
+from .linalg import DensityMatrix, SpectralDecomposition, _fsum, _fsum_rows, support_overlap_table
 
 _CONTAINMENT_TOL = 1e-10
 _BOUNDARY_TOL = 1e-13
@@ -373,32 +366,6 @@ def binary_entropy(x: float) -> float:
     return acc
 
 
-def von_neumann_entropy(state: DensityMatrix) -> float:
-    """S(rho) = -sum lam log lam over the positive eigenvalues."""
-    w = np.linalg.eigvalsh(state.array)
-    return -math.fsum(v * math.log(v) for v in w if v > 0.0)
-
-
-def entropy_difference_bound(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Upper bound on |S(A) - S(B)| in terms of the trace distance.
-
-    Returns (T/2) log(d-1) + h2(T/2) with T = ||A - B||_1, checking that the
-    actual entropy difference respects it.
-    """
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.dim == 1:
-        return 0.0
-    t_half = min(trace_norm(a.array - b.array) / 2.0, 1.0)
-    bound = t_half * math.log(a.dim - 1) + binary_entropy(t_half)
-    gap = abs(von_neumann_entropy(a) - von_neumann_entropy(b))
-    if gap > bound + 1e-9:
-        raise QsdError(
-            f"entropy difference {gap!r} exceeds its bound {bound!r}; numerical inconsistency"
-        )
-    return bound
-
-
 @dataclass(frozen=True)
 class DivergenceProfile:
     """Summary divergences for one state pair, all in nats."""
@@ -424,7 +391,3 @@ def profile_from_curve(curve: ClassicalPair) -> DivergenceProfile:
         variance=variance,
     )
 
-
-def divergence_profile(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceProfile:
-    """DivergenceProfile of two states, from the pair's one ClassicalPair."""
-    return profile_from_curve(_state_pair(rho, sigma))

@@ -26,6 +26,7 @@ from .linalg import (
     DIM_CAP,
     DensityMatrix,
     _check_count,
+    _check_eps,
     _fsum,
     _mixed_weight,
     matrix_power_support,
@@ -339,8 +340,7 @@ def _beta_eps_sweep(
     test keeps every eigenvalue w > 0, with no absolute kernel tolerance:
     the maximizer lam* of a tiny beta is itself tiny.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     stacks = _stacks([_block_pair(rho, sigma, n) for n in ns])
     support = matrix_power_support(sigma.spectral(), 0.0)
     overlap = float(np.einsum("ij,ji->", rho.array, support).real)

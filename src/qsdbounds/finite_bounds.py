@@ -30,10 +30,7 @@ from .divergences import (
     solve_t_r,
 )
 from .errors import ValidationError
-from .linalg import SUPPORT_CUTOFF, DensityMatrix, _check_threshold
-
-QUANTITIES = ("stein_rate", "hoeffding_rate", "mixed_rate", "alpha_rate", "beta_rate")
-SIDES = ("upper", "lower", "reference")
+from .linalg import SUPPORT_CUTOFF, DensityMatrix, _check_count, _check_eps, _check_threshold
 
 STEIN_VARIANTS = ("as_derived", "as_printed")
 
@@ -63,19 +60,9 @@ def _invalid(n: int, quantity: str, side: str, parameters: dict, reason: str) ->
     )
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-
-
 def stein_upper_generic(curve: ClassicalPair, n: int, eps: float, t: float) -> BoundReport:
     """Upper bound on (1/n) log beta_{n, eps} from the Renyi divergence at order t in [0, 1)."""
-    _check_n(n)
+    _check_count(n)
     _check_eps(eps)
     if not 0.0 <= t < 1.0:
         raise ValidationError(f"t must lie in [0, 1), got {t}")
@@ -106,7 +93,7 @@ def stein_upper(curve: ClassicalPair, n: int, eps: float, variant: str = "as_der
     The "as_printed" coefficient is 4 sqrt(2) log(1/eps) log(eta); the
     default "as_derived" coefficient replaces log(1/eps) by its square root.
     """
-    _check_n(n)
+    _check_count(n)
     _check_eps(eps)
     et = eta(curve)
     params = {"eps": eps, "variant": variant, "eta": et}
@@ -121,7 +108,7 @@ def stein_upper(curve: ClassicalPair, n: int, eps: float, variant: str = "as_der
 
 def stein_lower(curve: ClassicalPair, n: int, eps: float, variant: str = "as_derived") -> BoundReport:
     """Lower bound on (1/n) log beta_{n, eps}: -D - coeff/sqrt(n) with log(1/(1-eps))."""
-    _check_n(n)
+    _check_count(n)
     _check_eps(eps)
     et = eta(curve)
     params = {"eps": eps, "variant": variant, "eta": et}
@@ -143,7 +130,7 @@ def stein_upper_intermediate(curve: ClassicalPair, n: int, eps: float, cosh_c: f
     with c = arccosh(cosh_c). cosh_c = 2 log(1/eps) recovers the printed form
     and cosh_c = 2 the derived one.
     """
-    _check_n(n)
+    _check_count(n)
     _check_eps(eps)
     if cosh_c <= 1.0:
         raise ValidationError(f"cosh_c must exceed 1, got {cosh_c}")
@@ -175,7 +162,7 @@ def hoeffding_upper(curve: ClassicalPair, n: int, r: float) -> BoundReport:
     where t_r = 0 once r >= -psi(0) - psi'(0) and otherwise solves
     r = (t-1) psi'(t) - psi(t). Needs r > -psi(1).
     """
-    _check_n(n)
+    _check_count(n)
     if r < 0.0:
         raise ValidationError(f"rate r must be >= 0, got {r}")
     params: dict[str, Any] = {"r": r}
@@ -205,7 +192,7 @@ def mixed_upper(curve: ClassicalPair, n: int, a: float) -> MixedUpperBounds:
     """Upper bounds at threshold a: (1/n) log e_n(a) <= -phi(a), and for the
     halfspace-type test, alpha rate <= -phi_hat(a), beta rate <= -phi(a).
     a and -n a must be finite."""
-    _check_n(n)
+    _check_count(n)
     _check_threshold(n, a)
     params: dict[str, Any] = {"a": a}
     if curve.orthogonal_supports:
@@ -251,7 +238,7 @@ def classical_lower(pair: ClassicalPair, n: int, r: float) -> ClassicalLowerBoun
     with c_n, d_n <= (|X|-1)(1 + 2 log(1/min mass)) + 1.3. Valid for
     -psi(1) < r < -psi(0) - psi'(0) and n >= |X|(|X|-1).
     """
-    _check_n(n)
+    _check_count(n)
     card = pair.size
     params: dict[str, Any] = {"r": r, "alphabet": card}
 
@@ -329,7 +316,7 @@ def quantum_mixed_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int, r: flo
     classical pair. Valid for -psi(1) < r < -psi(0) - psi'(0) and
     n >= d^2 (d^2 - 1).
     """
-    _check_n(n)
+    _check_count(n)
     params: dict[str, Any] = {"r": r}
     try:
         setup = _quantum_types_setup(rho, sigma, n, params)
@@ -349,7 +336,7 @@ def quantum_chernoff_lower(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> 
     Requires psi' to have a root in (0, 1); the corresponding rate is the
     Chernoff distance and the bound reads -C - penalties.
     """
-    _check_n(n)
+    _check_count(n)
     params: dict[str, Any] = {}
     try:
         setup = _quantum_types_setup(rho, sigma, n, params)
@@ -370,7 +357,7 @@ def second_order_reference(curve: ClassicalPair, n: int, eps: float) -> BoundRep
     q is the standard normal quantile (cumulative distribution from -inf),
     so the correction is negative for eps < 1/2.
     """
-    _check_n(n)
+    _check_count(n)
     _check_eps(eps)
     params: dict[str, Any] = {"eps": eps, "asymptotic_reference": True}
     if not curve.a_support_contained:

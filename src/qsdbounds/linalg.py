@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,6 +116,12 @@ def _check_count(n, name: str = "n") -> None:
         raise ValidationError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"need {name} >= 1, got {n}")
+
+
+def _check_eps(eps: float) -> None:
+    """Require a type-I budget eps in the open interval (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
 
 
 def _check_threshold(n: int, a: float) -> None:
@@ -229,8 +235,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     """n-fold tensor power, n >= 1, subject to the dimension cap."""
     a = np.asarray(a)
-    if n < 1:
-        raise ValidationError(f"tensor power needs n >= 1, got {n}")
+    _check_count(n)
     if a.shape[0] ** n > DIM_CAP:
         raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {DIM_CAP}")
     out = a
@@ -337,7 +342,3 @@ class DensityMatrix:
         v = v / norm
         return DensityMatrix(np.outer(v, v.conj()))
 
-    @staticmethod
-    def diagonal(probabilities: Iterable[float]) -> "DensityMatrix":
-        p = np.asarray(list(probabilities), dtype=np.float64)
-        return DensityMatrix(np.diag(p).astype(np.complex128))

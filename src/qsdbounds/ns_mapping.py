@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .divergences import ClassicalPair, _logsumexp, build_psi
 from .errors import ResourceLimitError, ValidationError
-from .linalg import SpectralDecomposition, _check_count, _check_threshold, _fsum
+from .linalg import SpectralDecomposition, _check_count, _check_threshold
 
 MAX_TYPES = 2_000_000
 
@@ -38,134 +36,6 @@ def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposit
     if pair.orthogonal_supports:
         raise ValidationError("orthogonal supports: the classical alphabet is empty")
     return pair
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Empirical distribution of an n-sample, stored as integer counts."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.counts or any(c < 0 or c != int(c) for c in self.counts):
-            raise ValidationError(f"counts must be nonnegative integers, got {self.counts}")
-        if sum(self.counts) < 1:
-            raise ValidationError("a type needs at least one observation")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def support_size(self) -> int:
-        return sum(1 for c in self.counts if c > 0)
-
-    def probabilities(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.float64) / self.n
-
-
-def sequence_type(symbols: Sequence[int], alphabet_size: int) -> TypeVector:
-    """TypeVector of a sequence of symbols drawn from range(alphabet_size)."""
-    counts = [0] * alphabet_size
-    hist = Counter(symbols)
-    for sym, c in hist.items():
-        if not 0 <= sym < alphabet_size:
-            raise ValidationError(f"symbol {sym!r} outside range({alphabet_size})")
-        counts[sym] = c
-    return TypeVector(tuple(counts))
-
-
-class TypeClassLogProbability(NamedTuple):
-    lower_bound: float
-    exact: float
-
-
-def type_class_log_probability(tv: TypeVector) -> TypeClassLogProbability:
-    """Per-copy log-probability of the type class of tv under tv itself.
-
-    ``exact`` is (1/n) log [ multinomial(n; counts) prod (c_i/n)^(c_i) ];
-    ``lower_bound`` is the Stirling-based closed form
-
-        -((r-1)/2) log(n)/n + (r/n)(log sqrt(r/(2 pi)) - 1/12) + 1/(n(12n+1))
-
-    with r the support size of tv. The bound never exceeds the exact value.
-    """
-    n = tv.n
-    r = tv.support_size
-    log_exact = math.lgamma(n + 1)
-    for c in tv.counts:
-        if c > 0:
-            log_exact += -math.lgamma(c + 1) + c * math.log(c / n)
-    bound = (
-        -((r - 1) / 2.0) * math.log(n) / n
-        + (r / n) * (math.log(math.sqrt(r / (2.0 * math.pi))) - 1.0 / 12.0)
-        + 1.0 / (n * (12.0 * n + 1.0))
-    )
-    return TypeClassLogProbability(lower_bound=bound, exact=log_exact / n)
-
-
-def halfspace_type_approximation(
-    mu, v, c: float, n: int
-) -> tuple[TypeVector, TypeVector]:
-    """Types close to mu lying strictly on each side of the hyperplane <x, v> = c.
-
-    Requires <mu, v> = c, both open half-spaces to meet the probability
-    simplex, and n >= r(r-1) for r the support size of mu. Returns
-    (below, above) with each type within l1 distance 2(r-1)/n of mu; the
-    rounding is greedy (mass shifted in 1/n steps along coordinates sorted
-    by v) and the distance and strictness guarantees are verified before
-    returning.
-    """
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    v_arr = np.asarray(v, dtype=np.float64)
-    if mu_arr.shape != v_arr.shape or mu_arr.ndim != 1 or mu_arr.size == 0:
-        raise ValidationError("mu and v must be nonempty vectors of equal length")
-    if np.any(mu_arr < 0.0) or abs(_fsum(mu_arr) - 1.0) > 1e-9:
-        raise ValidationError("mu must be a probability vector")
-    if abs(_fsum(mu_arr * v_arr) - c) > 1e-9:
-        raise ValidationError("mu must satisfy <mu, v> = c within 1e-9")
-    if not (float(v_arr.min()) < c < float(v_arr.max())):
-        raise ValidationError("both open half-spaces must intersect the simplex")
-    r = int(np.count_nonzero(mu_arr > 1e-15))
-    if n < r * (r - 1):
-        raise ValidationError(f"need n >= r(r-1) = {r * (r - 1)}, got {n}")
-
-    base = np.floor(n * mu_arr).astype(np.int64)
-    budget = 2.0 * (r - 1) / n + 1e-12
-
-    def rounded(target_idx: int, want_below: bool) -> TypeVector:
-        counts = base.copy()
-        counts[target_idx] += n - int(base.sum())
-        for _ in range(n + 1):
-            inner = _fsum(counts * v_arr) / n
-            if (inner < c) if want_below else (inner > c):
-                break
-            movable = [
-                i
-                for i in range(counts.size)
-                if counts[i] > 0
-                and i != target_idx
-                and (v_arr[i] > v_arr[target_idx] if want_below else v_arr[i] < v_arr[target_idx])
-            ]
-            if not movable:
-                raise ValidationError("cannot reach the open half-space by unit mass shifts")
-            src = max(movable, key=lambda i: v_arr[i]) if want_below else min(
-                movable, key=lambda i: v_arr[i]
-            )
-            counts[src] -= 1
-            counts[target_idx] += 1
-        else:
-            raise ValidationError("cannot reach the open half-space by unit mass shifts")
-        dist = _fsum(np.abs(mu_arr - counts / n))
-        if dist > budget:
-            raise ValidationError(
-                f"rounded type at l1 distance {dist!r} exceeds the budget {budget!r}"
-            )
-        return TypeVector(tuple(int(x) for x in counts))
-
-    below = rounded(int(np.argmin(v_arr)), want_below=True)
-    above = rounded(int(np.argmax(v_arr)), want_below=False)
-    return below, above
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,14 +107,6 @@ def _type_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
         for row, x in zip(out, w):
             row += col * x
     return out
-
-
-def iter_types(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All count vectors of length k summing to n, in lexicographic order.
-
-    These are the rows of the type table, so the MAX_TYPES cap applies.
-    """
-    yield from map(tuple, _type_table(n, k)[0].tolist())
 
 
 class ClassicalErrors(NamedTuple):

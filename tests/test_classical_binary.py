@@ -12,17 +12,15 @@ from qsdbounds import (
     ValidationError,
     chernoff_distance,
     classical_exact_errors,
-    crossover_s,
     en_bounds,
-    en_exact,
     en_exact_log,
     inc_beta_reg,
     incbeta_monotonicity_check,
     psi_curve_from_probabilities,
     rate_curve,
-    rate_curve_csv,
 )
-from qsdbounds.classical_binary import _ROW_BLOCK
+from qsdbounds.classical_binary import _ROW_BLOCK, _crossover_s
+from qsdbounds.cli import main
 from qsdbounds.ns_mapping import ClassicalPair
 
 from helpers import inc_beta_quadrature
@@ -44,11 +42,11 @@ def test_binary_pair_rejects_boundary_parameters():
 def test_en_exact_equal_parameters_is_half():
     bp = BinaryPair(0.3, 0.3)
     for n in (1, 5, 40):
-        assert en_exact(bp, n, 0.0) == pytest.approx(0.5, abs=1e-13)
+        assert math.exp(en_exact_log(bp, n, 0.0)) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_en_exact_single_copy_hand_value():
-    assert en_exact(BinaryPair(0.25, 0.75), 1, 0.0) == pytest.approx(0.25, abs=1e-15)
+    assert math.exp(en_exact_log(BinaryPair(0.25, 0.75), 1, 0.0)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_en_exact_rejects_bad_n():
@@ -72,16 +70,16 @@ def test_en_exact_matches_type_enumeration():
             q=np.array([1.0 - bp.q, bp.q]),
         )
         errs = classical_exact_errors(pair, n, a)
-        assert en_exact(bp, n, a) == pytest.approx(errs.mixed / 2.0, abs=1e-12)
+        assert math.exp(en_exact_log(bp, n, a)) == pytest.approx(errs.mixed / 2.0, abs=1e-12)
 
 
 def test_crossover_hand_value():
-    s = crossover_s(BinaryPair(0.25, 0.5), 0.0)
+    s = _crossover_s(BinaryPair(0.25, 0.5), 0.0)
     assert s == pytest.approx(math.log(1.5) / math.log(3.0), abs=1e-14)
 
 
 def test_crossover_symmetric_pair_is_half():
-    assert crossover_s(BinaryPair(0.1, 0.9), 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert _crossover_s(BinaryPair(0.1, 0.9), 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_crossover_solves_weighted_likelihood_equation():
@@ -93,7 +91,7 @@ def test_crossover_solves_weighted_likelihood_equation():
             continue
         a = float(rng.uniform(-0.5, 0.5))
         bp = BinaryPair(p, q)
-        s = crossover_s(bp, a)
+        s = _crossover_s(bp, a)
         residual = (
             s * math.log(bp.p / bp.q)
             + (1.0 - s) * math.log((1.0 - bp.p) / (1.0 - bp.q))
@@ -104,7 +102,7 @@ def test_crossover_solves_weighted_likelihood_equation():
 
 def test_crossover_degenerate_pair():
     with pytest.raises(DegeneracyError):
-        crossover_s(BinaryPair(0.4, 0.4), 0.0)
+        _crossover_s(BinaryPair(0.4, 0.4), 0.0)
 
 
 def test_inc_beta_uniform_shape_is_identity():
@@ -178,14 +176,14 @@ def test_en_bounds_sandwich_seeded():
         bp = BinaryPair(p, q)
         a = float(rng.uniform(-0.2, 0.2))
         try:
-            s = crossover_s(bp, a)
+            s = _crossover_s(bp, a)
         except DegeneracyError:
             continue
         if not 0.05 < s < 0.95:
             continue
         n = int(rng.integers(1, 120))
         lo, up = en_bounds(bp, n, a)
-        e = en_exact(bp, n, a)
+        e = math.exp(en_exact_log(bp, n, a))
         assert lo <= e + 1e-12
         assert e <= up + 1e-12
         checked += 1
@@ -195,7 +193,7 @@ def test_en_bounds_skewed_reference_pair():
     bp = BinaryPair(0.001, 0.5)
     for n in (10, 50, 120, 300, 500):
         lo, up = en_bounds(bp, n, 0.0)
-        e = en_exact(bp, n, 0.0)
+        e = math.exp(en_exact_log(bp, n, 0.0))
         assert lo <= e <= up
 
 
@@ -243,9 +241,9 @@ def test_rate_curve_converges_to_chernoff():
             assert row.rate_exact <= row.rate_upper + 1e-12
 
 
-def test_rate_curve_csv_layout():
-    rows = rate_curve(BinaryPair(0.3, 0.3), 0.0, 3)
-    text = rate_curve_csv(rows)
+def test_rate_curve_csv_layout(tmp_path):
+    assert main(["binary", "--p", "0.3", "--q", "0.3", "--n-max", "3", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "binary_rate.csv").read_text()
     lines = text.splitlines()
     assert lines[0] == "n,rate_exact,rate_lower,rate_upper,chernoff"
     assert len(lines) == 4
@@ -267,7 +265,7 @@ def _reference_rows(bp, a, n_max):
     curve = psi_curve_from_probabilities([bp.p, 1.0 - bp.p], [bp.q, 1.0 - bp.q])
     chern, _ = chernoff_distance(curve)
     try:
-        s = crossover_s(bp, a)
+        s = _crossover_s(bp, a)
     except DegeneracyError:
         s = math.nan
     rows = []

@@ -7,14 +7,11 @@ from qsdbounds import (
     ClassicalPair,
     DegeneracyError,
     DensityMatrix,
-    QsdError,
     ValidationError,
     a_r,
     binary_entropy,
     build_psi,
     chernoff_distance,
-    divergence_profile,
-    entropy_difference_bound,
     eta,
     hoeffding_distance,
     phi,
@@ -29,9 +26,8 @@ from qsdbounds import (
     relative_entropy_variance,
     renyi,
     solve_t_r,
-    von_neumann_entropy,
 )
-from qsdbounds.divergences import _logsumexp, _logsumexp_rows
+from qsdbounds.divergences import _logsumexp, _logsumexp_rows, _state_pair
 from qsdbounds.linalg import tensor_power
 
 from helpers import qubit_pairs, random_full_rank_state
@@ -380,34 +376,11 @@ def test_binary_entropy():
     assert binary_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_von_neumann_entropy():
-    assert von_neumann_entropy(HALF) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert von_neumann_entropy(ZERO) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_entropy_difference_bound():
-    assert entropy_difference_bound(HALF, HALF) == pytest.approx(0.0, abs=1e-12)
-    # trace distance 1: bound = h2(1/2) = ln 2, attained exactly
-    assert entropy_difference_bound(ZERO, HALF) == pytest.approx(math.log(2.0), abs=1e-9)
-    rng = np.random.default_rng(107)
-    for _ in range(5):
-        a = random_full_rank_state(rng, 3)
-        b = random_full_rank_state(rng, 3)
-        bound = entropy_difference_bound(a, b)
-        assert abs(von_neumann_entropy(a) - von_neumann_entropy(b)) <= bound + 1e-9
-
-
-def test_entropy_difference_bound_inconsistency_is_a_package_error(monkeypatch):
-    import qsdbounds.divergences as divergences
-
-    monkeypatch.setattr(divergences, "von_neumann_entropy", lambda state: 5.0 * state.array[0, 0].real)
-    with pytest.raises(QsdError):
-        entropy_difference_bound(ZERO, HALF)
-
-
 def test_divergence_profile_and_curve_reuse():
     rho, sig = qubit_pairs(108, 1)[0]
-    prof = divergence_profile(rho, sig)
+    pair = _state_pair(rho, sig)
+    prof = profile_from_curve(pair)
+    assert _state_pair(rho, sig) is pair  # one memoized pair per state pair
     curve = build_psi(rho.spectral(), sig.spectral())
     assert prof.relative_entropy == pytest.approx(relative_entropy(curve), abs=1e-12)
     assert prof.variance == pytest.approx(relative_entropy_variance(curve), abs=1e-12)

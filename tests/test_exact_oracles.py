@@ -252,8 +252,8 @@ def _cross_check_pair(kind: str, d: int = 2) -> tuple[DensityMatrix, DensityMatr
         return full(), pure()
     if kind == "commuting":
         if d == 2:
-            return DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
-        return DensityMatrix.diagonal(rng.dirichlet(np.ones(d))), DensityMatrix.diagonal(rng.dirichlet(np.ones(d)))
+            return DensityMatrix(np.diag([0.3, 0.7])), DensityMatrix(np.diag([0.55, 0.45]))
+        return DensityMatrix(np.diag(rng.dirichlet(np.ones(d)))), DensityMatrix(np.diag(rng.dirichlet(np.ones(d))))
     # two eigenvalues 4e-9 apart, under the eigensolver's grouping tolerance of 1e-8
     u = random_unitary(rng, d)
     weights = np.arange(d - 1, 0, -1, dtype=np.float64) ** 2
@@ -524,7 +524,7 @@ def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
 
 def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():
     # kappa p_0^n = q_0^n: the outcome 0...0 spans the kernel and lies in block k = 0 only
-    rho, sigma = DensityMatrix.diagonal([0.3, 0.7]), DensityMatrix.diagonal([0.55, 0.45])
+    rho, sigma = DensityMatrix(np.diag([0.3, 0.7])), DensityMatrix(np.diag([0.55, 0.45]))
     a = math.log(0.3 / 0.55)
     for n in (2, 3, 4):
         assert np_test_errors(rho, sigma, n, a).degenerate_kernel

@@ -72,6 +72,27 @@ def test_stein_generic_validation():
         stein_upper_generic(PAIR_A, 10, 1.5, 0.5)
 
 
+BOUND_AT_N = {
+    "stein_upper_generic": lambda n: stein_upper_generic(PAIR_A, n, 0.1, 0.5),
+    "stein_upper": lambda n: stein_upper(PAIR_A, n, 0.1),
+    "stein_lower": lambda n: stein_lower(PAIR_A, n, 0.1),
+    "stein_upper_intermediate": lambda n: stein_upper_intermediate(PAIR_A, n, 0.1, 2.0),
+    "hoeffding_upper": lambda n: hoeffding_upper(PAIR_A, n, 0.1),
+    "mixed_upper": lambda n: mixed_upper(PAIR_A, n, 0.1),
+    "classical_lower": lambda n: classical_lower(PAIR_A, n, 0.1),
+    "quantum_mixed_lower": lambda n: quantum_mixed_lower(HALF, PLUS, n, 0.1),
+    "quantum_chernoff_lower": lambda n: quantum_chernoff_lower(HALF, PLUS, n),
+    "second_order_reference": lambda n: second_order_reference(PAIR_A, n, 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
+@pytest.mark.parametrize("bound", sorted(BOUND_AT_N))
+def test_every_bound_rejects_a_count_that_is_not_a_positive_integer(bound, n):
+    with pytest.raises(ValidationError):
+        BOUND_AT_N[bound](n)
+
+
 def test_stein_upper_identical_states_value():
     out = stein_upper(IDENTICAL, 100, 0.5)
     expected = (

@@ -7,17 +7,12 @@ import pytest
 from qsdbounds import (
     DensityMatrix,
     ResourceLimitError,
-    TypeVector,
     ValidationError,
     build_classical_pair,
     classical_exact_errors,
-    halfspace_type_approximation,
-    iter_types,
     matrix_power_support,
     psi,
     psi_curve_from_probabilities,
-    sequence_type,
-    type_class_log_probability,
 )
 
 from qsdbounds.ns_mapping import _type_table
@@ -68,99 +63,6 @@ def test_psi_identity_between_quantum_and_classical():
             assert psi(classical, float(t)) == pytest.approx(quantum, abs=1e-9)
 
 
-def test_type_vector_validation():
-    tv = TypeVector((2, 0, 3))
-    assert tv.n == 5
-    assert tv.support_size == 2
-    assert np.allclose(tv.probabilities(), [0.4, 0.0, 0.6])
-    with pytest.raises(ValidationError):
-        TypeVector((1, -1))
-    with pytest.raises(ValidationError):
-        TypeVector(())
-
-
-def test_sequence_type():
-    tv = sequence_type([0, 1, 1, 2, 1], 4)
-    assert tv.counts == (1, 3, 1, 0)
-
-
-def test_type_class_probability_deterministic_type():
-    out = type_class_log_probability(TypeVector((6, 0)))
-    assert out.exact == pytest.approx(0.0, abs=1e-12)
-    assert out.lower_bound <= 0.0
-
-
-def test_type_class_probability_hand_value():
-    out = type_class_log_probability(TypeVector((2, 2)))
-    # per-copy scaling of log(C(4,2)/2^4)
-    assert out.exact == pytest.approx(math.log(6.0 / 16.0) / 4.0, abs=1e-12)
-    assert out.lower_bound <= out.exact
-
-
-def test_type_class_probability_bound_always_below_exact():
-    rng = np.random.default_rng(203)
-    for _ in range(40):
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(k, 61))
-        counts = rng.multinomial(n, rng.dirichlet(np.ones(k)))
-        if np.count_nonzero(counts) == 0:
-            continue
-        out = type_class_log_probability(TypeVector(tuple(int(c) for c in counts)))
-        assert out.lower_bound <= out.exact + 1e-12
-
-
-def test_halfspace_binary_example():
-    below, above = halfspace_type_approximation(
-        np.array([0.5, 0.5]), np.array([1.0, -1.0]), 0.0, 10
-    )
-    assert below.counts == (4, 6)
-    assert above.counts == (6, 4)
-    for tv in (below, above):
-        dist = np.abs(np.asarray(tv.probabilities()) - 0.5).sum()
-        assert dist <= 2.0 * (2 - 1) / 10 + 1e-12
-
-
-def test_halfspace_precondition_errors():
-    mu = np.array([0.5, 0.5])
-    v = np.array([1.0, -1.0])
-    with pytest.raises(ValidationError):
-        halfspace_type_approximation(mu, v, 0.3, 10)  # <mu, v> != c
-    with pytest.raises(ValidationError):
-        halfspace_type_approximation(mu, np.array([1.0, 1.0]), 1.0, 10)  # c not interior
-    with pytest.raises(ValidationError):
-        halfspace_type_approximation(np.array([0.6, 0.5]), v, 0.1, 10)  # not a distribution
-    with pytest.raises(ValidationError):
-        halfspace_type_approximation(mu, v, 0.0, 1)  # n below r(r-1)
-
-
-def test_halfspace_three_letter_seeded():
-    rng = np.random.default_rng(204)
-    n = 30
-    for _ in range(10):
-        mu = rng.dirichlet(np.ones(3) * 3.0)
-        v = rng.normal(size=3)
-        c = float(mu @ v)
-        if not (v.min() < c < v.max()):
-            continue
-        below, above = halfspace_type_approximation(mu, v, c, n)
-        pb = np.asarray(below.probabilities())
-        pa = np.asarray(above.probabilities())
-        assert float(pb @ v) < c
-        assert float(pa @ v) > c
-        assert np.abs(pb - mu).sum() <= 2.0 * 2.0 / n + 1e-12
-        assert np.abs(pa - mu).sum() <= 2.0 * 2.0 / n + 1e-12
-
-
-def test_iter_types_counts():
-    types = list(iter_types(5, 3))
-    assert len(types) == math.comb(5 + 3 - 1, 3 - 1)
-    assert all(sum(t) == 5 for t in types)
-    assert len(set(types)) == len(types)
-    assert types == sorted(t for t in product(range(6), repeat=3) if sum(t) == 5)
-    assert list(iter_types(4, 1)) == [(4,)]
-    assert list(iter_types(0, 2)) == [(0, 0)]
-
-
 @pytest.mark.parametrize("k", range(1, 7))
 def test_type_table_is_the_stars_and_bars_enumeration(k):
     for n in range(13):
@@ -170,6 +72,9 @@ def test_type_table_is_the_stars_and_bars_enumeration(k):
         counts, log_coef = _type_table(n, k)
         assert counts.dtype == np.int32
         np.testing.assert_array_equal(counts, np.diff(edges, axis=1) - 1)
+        if k <= 3:  # every count vector summing to n, in lexicographic order
+            want_rows = [t for t in product(range(n + 1), repeat=k) if sum(t) == n]
+            assert [tuple(row) for row in counts.tolist()] == want_rows
         lg = [math.lgamma(j + 1.0) for j in range(n + 1)]
         want = [math.fsum([lg[n]] + [-lg[c] for c in row]) for row in counts.tolist()]
         np.testing.assert_allclose(log_coef, want, rtol=0.0, atol=1e-12)

@@ -49,7 +49,7 @@ def _state(seed: int, d: int, kind: str) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     evals = _eigenvalues(rng, d, kind)
     if kind == "diagonal":
-        return DensityMatrix.diagonal(evals)
+        return DensityMatrix(np.diag(evals))
     u = random_unitary(rng, d)
     return DensityMatrix((u * evals) @ u.conj().T)
 
