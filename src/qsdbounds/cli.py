@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .classical_binary import BinaryPair, rate_curve
-from .divergences import _state_pair, profile_from_curve, psi_moments
+from .divergences import _psi_moments_rows, _state_pair, profile_from_curve
 from .errors import QsdError, ResourceLimitError, ValidationError
 from .exact_oracles import _within_cap, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
 from .finite_bounds import (
@@ -118,10 +118,29 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     print(path)
 
 
+_CELL_FORMATS = {int: "%d", float: "%.17g"}
+
+
 def _write_csv(out_dir: str, name: str, header: str, rows: list) -> None:
+    """Write rows as CSV with the cells of `_fmt`.
+
+    A row of ints and floats is formatted by one %-template per sequence of
+    cell types, which writes the bytes `_fmt` writes for finite values; a
+    row holding another type, NaN or an infinity goes through `_fmt` cell
+    by cell.
+    """
     lines = [header]
+    templates: dict[tuple, str | None] = {}
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            cells = [_CELL_FORMATS.get(kind) for kind in kinds]
+            templates[kinds] = None if None in cells else ",".join(cells)
+        template = templates[kinds]
+        line = template % tuple(row) if template is not None else None
+        if line is None or "n" in line:  # "nan", "inf": only _fmt writes them right
+            line = ",".join(map(_fmt, row))
+        lines.append(line)
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -148,13 +167,13 @@ def _cmd_divergences(args) -> int:
             "units": "bits" if args.bits else "nats",
         },
     )
-    rows = []
-    for i in range(101):
-        t = i / 100.0
-        if curve.orthogonal_supports:
-            rows.append([t, -math.inf, None, None])
-        else:
-            rows.append([t, *(x / unit for x in psi_moments(curve, t))])
+    ts = np.arange(101) / 100.0
+    if curve.orthogonal_supports:
+        rows = [[t, -math.inf, None, None] for t in ts.tolist()]
+    else:
+        moments = _psi_moments_rows(curve, ts)
+        moments /= unit
+        rows = [[t, *row] for t, row in zip(ts.tolist(), moments.tolist())]
     _write_csv(args.out, "psi_curve.csv", "t,psi,psi_prime,psi_second", rows)
     return 0
 

@@ -16,15 +16,17 @@ import numpy as np
 
 from .divergences import (
     ClassicalPair,
+    _check_rate,
     _hoeffding_at,
     _memoized,
+    _psi_at,
     _state_pair,
+    _t_r_window,
     binary_entropy,
     chernoff_distance,
     eta,
     phi,
-    psi,
-    psi_prime,
+    psi,  # bound here for the benchmark's tracing, which wraps finite_bounds.psi
     relative_entropy,
     relative_entropy_variance,
     solve_t_r,
@@ -33,6 +35,7 @@ from .errors import ValidationError
 from .linalg import SUPPORT_CUTOFF, DensityMatrix, _check_count, _check_eps, _check_threshold
 
 STEIN_VARIANTS = ("as_derived", "as_printed")
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ def stein_upper_generic(curve: ClassicalPair, n: int, eps: float, t: float) -> B
     params = {"eps": eps, "t": t}
     if curve.orthogonal_supports:
         return _invalid(n, "stein_rate", "upper", params, "orthogonal supports")
-    d_t = psi(curve, t) / (t - 1.0)
+    d_t = _psi_at(curve, t) / (t - 1.0)
     value = (
         -d_t
         + (t / (1.0 - t)) * math.log(1.0 / eps) / n
@@ -160,19 +163,17 @@ def hoeffding_upper(curve: ClassicalPair, n: int, r: float) -> BoundReport:
         -H_r - h2(t_r) / ((1 - t_r) n),
 
     where t_r = 0 once r >= -psi(0) - psi'(0) and otherwise solves
-    r = (t-1) psi'(t) - psi(t). Needs r > -psi(1).
+    r = (t-1) psi'(t) - psi(t). Needs a finite r > -psi(1).
     """
     _check_count(n)
-    if r < 0.0:
-        raise ValidationError(f"rate r must be >= 0, got {r}")
+    _check_rate(r)
     params: dict[str, Any] = {"r": r}
     if curve.orthogonal_supports:
         return _invalid(n, "hoeffding_rate", "upper", params, "orthogonal supports")
-    psi0 = psi(curve, 0.0)
-    psi1 = psi(curve, 1.0)
-    if r <= -psi1:
-        return _invalid(n, "hoeffding_rate", "upper", params, f"needs r > {-psi1!r}")
-    if r >= -psi0 - psi_prime(curve, 0.0):
+    lo_end, hi_end = _t_r_window(curve)
+    if r <= lo_end:
+        return _invalid(n, "hoeffding_rate", "upper", params, f"needs r > {lo_end!r}")
+    if r >= hi_end:
         t_r = 0.0
     else:
         t_r = solve_t_r(curve, r)
@@ -365,6 +366,6 @@ def second_order_reference(curve: ClassicalPair, n: int, eps: float) -> BoundRep
     d = relative_entropy(curve)
     v = relative_entropy_variance(curve)
     params.update({"relative_entropy": d, "variance": v})
-    value = -d + math.sqrt(v) * NormalDist().inv_cdf(eps) / math.sqrt(n)
+    value = -d + math.sqrt(v) * _STANDARD_NORMAL.inv_cdf(eps) / math.sqrt(n)
     return BoundReport(n=n, quantity="stein_rate", side="reference",
                        bound_value=value, parameters=params)

@@ -10,8 +10,11 @@ from qsdbounds import (
     BinaryPair,
     DensityMatrix,
     ValidationError,
+    a_r,
     classical_exact_errors,
     en_bounds,
+    hoeffding_distance,
+    hoeffding_upper,
     mixed_upper,
     psi_curve_from_probabilities,
     rate_curve,
@@ -257,6 +260,34 @@ def test_non_finite_threshold_is_rejected(tmp_path, pair_files, capsys, call):
     assert main([*call, *states, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error[invalid-input]" in err and ("must be finite" in err or "overflows" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        ["hoeffding", "--r", "inf", "--n-max", "3"],
+        ["hoeffding", "--r", "nan", "--n-max", "3"],
+        lambda: hoeffding_upper(_FOUR_LETTERS, 3, math.inf),
+        lambda: hoeffding_upper(_FOUR_LETTERS, 3, math.nan),
+        lambda: hoeffding_distance(_FOUR_LETTERS, math.inf),
+        lambda: hoeffding_distance(_FOUR_LETTERS, math.nan),
+        lambda: a_r(_FOUR_LETTERS, math.inf),
+        lambda: a_r(_FOUR_LETTERS, math.nan),
+    ],
+    ids=["cli-inf", "cli-nan", "hoeffding_upper-inf", "hoeffding_upper-nan",
+         "hoeffding_distance-inf", "hoeffding_distance-nan", "a_r-inf", "a_r-nan"],
+)
+def test_non_finite_rate_is_rejected(tmp_path, pair_files, capsys, call):
+    # r = inf once gave a valid report with a NaN bound: -t_r r is -0.0 * inf at t_r = 0
+    if callable(call):
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
+        return
+    out = tmp_path / "out"
+    assert main([*call, "--rho", pair_files[0], "--sigma", pair_files[1], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[invalid-input]" in err and "must be finite" in err
     assert not out.exists()
 
 

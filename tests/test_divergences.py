@@ -27,8 +27,8 @@ from qsdbounds import (
     renyi,
     solve_t_r,
 )
-from qsdbounds.divergences import _logsumexp, _logsumexp_rows, _state_pair
-from qsdbounds.linalg import tensor_power
+from qsdbounds.divergences import _GRID_BLOCK, _logsumexp, _logsumexp_rows, _psi_moments_rows, _state_pair
+from qsdbounds.linalg import _FSUM_TREE_MIN, tensor_power
 
 from helpers import qubit_pairs, random_full_rank_state
 
@@ -436,6 +436,21 @@ def test_psi_moments_are_bit_identical_to_the_separate_transforms():
         assert psi_moments(curve, t) == (psi(curve, t), psi_prime(curve, t), psi_second(curve, t))
     with pytest.raises(ValidationError):
         psi_moments(build_psi(ZERO.spectral(), ONE.spectral()), 0.5)
+
+
+@pytest.mark.parametrize("letters", [1, 4, 64, _FSUM_TREE_MIN + 904])
+def test_the_psi_grid_is_psi_moments_at_each_point_bit_for_bit(letters):
+    rng = np.random.default_rng(letters)
+    curve = psi_curve_from_probabilities(rng.dirichlet(np.ones(letters)), rng.dirichlet(np.full(letters, 0.3)))
+    ts = np.arange(101) / 100.0
+    grid = _psi_moments_rows(curve, ts)
+    expected = np.array([psi_moments(curve, t) for t in ts.tolist()])
+    # above _FSUM_TREE_MIN letters `_fsum` sums by rows too; there the grid
+    # takes blocks of 3 points, and the smaller curves fit in one block
+    assert (_GRID_BLOCK // letters >= ts.size) == (letters < _FSUM_TREE_MIN)
+    assert np.array_equal(grid.view(np.int64), expected.view(np.int64))
+    with pytest.raises(ValidationError):
+        _psi_moments_rows(build_psi(ZERO.spectral(), ONE.spectral()), ts)
 
 
 def test_out_of_window_rates_raise_on_every_call():

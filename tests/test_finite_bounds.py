@@ -375,9 +375,41 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
     # its pair: t_r (shared by hoeffding_upper and quantum_mixed_lower), the
     # conjugate point at a, and the conjugate point at 0
     assert counts == {"bisect": 3, "eigh": 2, "table": 1}
-    # the quantum bounds read the same pair at every n
+    # the quantum bounds read the same pair at every n, and the pair keeps
+    # psi at t_r and at the conjugate points, and the window of t_r
     assert rho.pair_memo(sig)["pair"] is curve
-    assert {key[0] for key in curve._memo} == {"_conjugate_point", "solve_t_r", "_min_masses"}
+    assert {key[0] for key in curve._memo} == {
+        "_conjugate_point", "solve_t_r", "_min_masses", "_psi_at", "_t_r_window"}
+
+
+def test_an_n_sweep_evaluates_psi_at_the_first_n_only(monkeypatch):
+    # fresh states: their memos must not have been filled by another test
+    rho = DensityMatrix(np.array([[0.6, 0.25j], [-0.25j, 0.4]]))
+    sig = DensityMatrix(np.array([[0.3, 0.1], [0.1, 0.7]]))
+    calls = [0]
+    shifted = divergences._shifted_weights
+
+    def counting(*args):
+        calls[0] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(divergences, "_shifted_weights", counting)
+    curve = divergences._state_pair(rho, sig)
+    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    a = 0.5 * (psi_prime(curve, 0.0) + psi_prime(curve, 1.0))
+    first_valid = 12  # n >= |X|(|X| - 1) for the 4-letter alphabet of two qubits
+    per_n = []
+    for n in range(1, 81):
+        before = calls[0]
+        row = (hoeffding_upper(curve, n, r), mixed_upper(curve, n, a).mixed,
+               quantum_chernoff_lower(rho, sig, n), quantum_mixed_lower(rho, sig, n, r),
+               *classical_lower(curve, n, r), stein_upper_generic(curve, n, 0.1, 0.5))
+        assert all(rep.valid for rep in row) == (n >= first_valid)
+        per_n.append(calls[0] - before)
+    # each psi term is evaluated at the first n that reads it: n = 1 for most,
+    # n = 12 for C = -psi(t_0) of quantum_chernoff_lower; later n read the memo
+    assert per_n[0] > 0 and per_n[first_valid - 1] > 0
+    assert sum(per_n) == per_n[0] + per_n[first_valid - 1]
 
 
 def test_a_classical_lower_sweep_solves_t_r_once(monkeypatch):
