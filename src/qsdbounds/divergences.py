@@ -21,7 +21,8 @@ import numpy as np
 
 from ._search import bisect_decreasing
 from .errors import DegeneracyError, ValidationError
-from .linalg import DensityMatrix, SpectralDecomposition, _fsum, _fsum_rows, support_overlap_table
+from .linalg import DensityMatrix, SpectralDecomposition, _check_letters, _fsum, _fsum_rows
+from .linalg import support_overlap_table
 
 _CONTAINMENT_TOL = 1e-10
 _BOUNDARY_TOL = 1e-13
@@ -131,10 +132,8 @@ def _state_pair(rho: DensityMatrix, sigma: DensityMatrix) -> ClassicalPair:
 
 def psi_curve_from_probabilities(p, q) -> ClassicalPair:
     """ClassicalPair of two positive weight vectors on a shared alphabet, letter k labelled (k, k)."""
-    pa = np.asarray(p, dtype=np.float64)
-    if pa.ndim != 1 or pa.size == 0:
-        raise ValidationError("p and q must be nonempty vectors of equal length")
-    return ClassicalPair(labels=tuple((k, k) for k in range(pa.size)), p=pa, q=q)
+    pa, qa = _check_letters(p, q)
+    return ClassicalPair(labels=tuple((k, k) for k in range(pa.size)), p=pa, q=qa)
 
 
 def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
@@ -345,19 +344,18 @@ def hoeffding_distance(curve: ClassicalPair, r: float) -> float:
     _check_rate(r)
     if curve.orthogonal_supports:
         return math.inf
-    psi0 = psi(curve, 0.0)
-    psi1 = psi(curve, 1.0)
-    if r < -psi1 - _BOUNDARY_TOL:
+    lo_end, hi_end = _t_r_window(curve)
+    if r < lo_end - _BOUNDARY_TOL:
         return math.inf
-    if r <= -psi1 + _BOUNDARY_ULPS * math.ulp(max(1.0, abs(psi1))):
+    if r <= lo_end + _BOUNDARY_ULPS * math.ulp(max(1.0, abs(lo_end))):
         # boundary value: the supremum is approached as t -> 1. Just above
         # -psi(1), t_r is accurate once r clears the rounding of psi(1) = m + log S,
         # which is about ulp(1) even when psi(1) is tiny; just below, H_r is +inf,
         # but psi(1) = 0 of nested supports holds only to the rounding of the
         # spectral data, so r within _BOUNDARY_TOL counts as on the boundary.
         return r + psi_prime(curve, 1.0)
-    if r >= -psi0 - psi_prime(curve, 0.0):
-        return -psi0
+    if r >= hi_end:
+        return -_psi_at(curve, 0.0)
     return _hoeffding_at(curve, r, solve_t_r(curve, r))
 
 
@@ -384,12 +382,9 @@ def solve_t_r(curve: ClassicalPair, r: float) -> float:
     _require_joint_support(curve)
     if _is_degenerate(curve):
         raise DegeneracyError("measures are proportional: psi is affine and t_r is undefined")
-    lo_end = -psi(curve, 1.0)
-    hi_end = -psi(curve, 0.0) - psi_prime(curve, 0.0)
+    lo_end, hi_end = _t_r_window(curve)
     if not (lo_end < r < hi_end):
-        raise ValidationError(
-            f"r = {r!r} outside the open interval ({lo_end!r}, {hi_end!r})"
-        )
+        raise ValidationError(f"r = {r!r} outside the open interval ({lo_end!r}, {hi_end!r})")
 
     def g(t: float) -> float:
         value, mu = _tilted(curve, t)

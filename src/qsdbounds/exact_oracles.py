@@ -27,13 +27,14 @@ from .linalg import (
     DensityMatrix,
     _check_count,
     _check_eps,
+    _check_letters,
     _fsum,
     _mixed_weight,
     matrix_power_support,
     trace_norm,
 )
 from .linalg import positive_part_trace  # noqa: F401  (bench/test_bench.py traces this binding)
-from .ns_mapping import _type_sums, _type_table
+from .ns_mapping import _type_masses
 
 _KERNEL_TOL = 1e-12
 _GAP_RTOL = 1e-12  # beta_eps_exact stops once primal - dual is at most this times primal
@@ -391,43 +392,31 @@ def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n, eps: float):
 
 
 def classical_beta_eps_exact(p, q, n: int, eps: float) -> float:
-    """Randomized Neyman-Pearson type-II error for classical distributions.
+    """Randomized Neyman-Pearson type-II error for classical distributions, exact for eps in [0, 1].
 
-    Outcome types are sorted by likelihood ratio descending and accepted
-    greedily until the retained p-mass reaches 1 - eps exactly, randomizing
-    the boundary type; returns the q-mass of the acceptance region.
+    Types of zero p-mass or q-mass are left out: rejected free, even at
+    eps = 0, or adding nothing. The others are rejected whole, by ascending
+    likelihood ratio, while their p-mass, measured relative to eps, fits the
+    budget, and the next in the share (eps - rejected mass) / its p-mass, the
+    rejected mass summed exactly rounded. Returns the accepted q-mass.
     """
-    pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape or pa.ndim != 1 or pa.size == 0:
-        raise ValidationError("p and q must be nonempty vectors of equal length")
-    if np.any(pa < 0.0) or np.any(qa < 0.0) or np.any((pa == 0.0) & (qa == 0.0)):
-        raise ValidationError("p and q must be nonnegative with p + q > 0 per letter")
+    pa, qa = _check_letters(p, q)
+    if np.any((pa == 0.0) & (qa == 0.0)):
+        raise ValidationError("p and q must have p + q > 0 per letter")
     if abs(_fsum(pa) - 1.0) > 1e-9 or abs(_fsum(qa) - 1.0) > 1e-9:
         raise ValidationError("p and q must each sum to 1 within 1e-9")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [0, 1], got {eps}")
     _check_count(n)
-    counts, log_coef = _type_table(n, pa.size)
-    zero_p = pa == 0.0
-    zero_q = qa == 0.0
-    weights = np.column_stack(
-        (np.log(np.where(zero_p, 1.0, pa)), np.log(np.where(zero_q, 1.0, qa)), zero_p, zero_q)
-    )
-    s_p, s_q, hits_p, hits_q = _type_sums(counts, weights)
-    # a type that draws a zero-mass letter has zero mass
-    mass_p = np.where(hits_p > 0.0, 0.0, np.exp(log_coef + s_p))
-    mass_q = np.where(hits_q > 0.0, 0.0, np.exp(log_coef + s_q))
-    keep = mass_p > 0.0
-    key = np.where(mass_q == 0.0, math.inf, s_p - s_q)[keep]
-    order = np.argsort(-key, kind="stable")
-    mass_p = mass_p[keep][order]
-    mass_q = mass_q[keep][order]
-    # p-budget left before each type, subtracted in the acceptance order
-    remaining = np.subtract.accumulate(np.concatenate(([1.0 - eps], mass_p)))[:-1]
-    fits = (remaining > 1e-15) & (mass_p <= remaining)
-    stop = int(np.argmin(fits)) if not fits.all() else fits.size
-    beta = _fsum(mass_q[:stop])
-    if stop < fits.size and remaining[stop] > 1e-15:
-        beta += (remaining[stop] / mass_p[stop]) * mass_q[stop]
+    stat, log_mp, log_mq = _type_masses(pa, qa, n)
+    keep = (log_mp > -math.inf) & (log_mq > -math.inf)
+    order = np.argsort(-stat[keep], kind="stable")
+    log_mp, log_mq = log_mp[keep][order], log_mq[keep][order]
+    with np.errstate(divide="ignore", over="ignore"):
+        cost = np.exp(log_mp - np.log(eps))  # +inf at eps = 0
+    boundary = cost.size - int(np.searchsorted(np.cumsum(cost[::-1]), 1.0, side="right")) - 1
+    if boundary < 0:
+        return 0.0
+    rejected = min(max(1.0 - _fsum(cost[boundary + 1 :]), 0.0) / cost[boundary], 1.0)
+    beta = _fsum(np.exp(log_mq[:boundary])) + (1.0 - rejected) * math.exp(log_mq[boundary])
     return min(max(beta, 0.0), 1.0)

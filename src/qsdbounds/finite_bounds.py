@@ -52,15 +52,7 @@ class BoundReport:
 
 
 def _invalid(n: int, quantity: str, side: str, parameters: dict, reason: str) -> BoundReport:
-    return BoundReport(
-        n=n,
-        quantity=quantity,
-        side=side,
-        bound_value=math.nan,
-        parameters=parameters,
-        valid=False,
-        reason=reason,
-    )
+    return BoundReport(n, quantity, side, math.nan, parameters, valid=False, reason=reason)
 
 
 def stein_upper_generic(curve: ClassicalPair, n: int, eps: float, t: float) -> BoundReport:
@@ -197,12 +189,8 @@ def mixed_upper(curve: ClassicalPair, n: int, a: float) -> MixedUpperBounds:
     _check_threshold(n, a)
     params: dict[str, Any] = {"a": a}
     if curve.orthogonal_supports:
-        reason = "orthogonal supports"
-        return MixedUpperBounds(
-            _invalid(n, "mixed_rate", "upper", params, reason),
-            _invalid(n, "alpha_rate", "upper", params, reason),
-            _invalid(n, "beta_rate", "upper", params, reason),
-        )
+        return MixedUpperBounds(*(_invalid(n, quantity, "upper", params, "orthogonal supports")
+                                  for quantity in ("mixed_rate", "alpha_rate", "beta_rate")))
     value = phi(curve, a)
     params.update({"phi": value, "phi_hat": value - a})
     return MixedUpperBounds(

@@ -118,6 +118,16 @@ def _check_count(n, name: str = "n") -> None:
         raise ValidationError(f"need {name} >= 1, got {n}")
 
 
+def _check_letters(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float64 vectors, required nonempty, of equal length, finite and nonnegative."""
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if pa.shape != qa.shape or pa.ndim != 1 or pa.size == 0:
+        raise ValidationError("p and q must be nonempty vectors of equal length")
+    if not (np.all((pa >= 0.0) & (pa < math.inf)) and np.all((qa >= 0.0) & (qa < math.inf))):
+        raise ValidationError("p and q must be finite and nonnegative")
+    return pa, qa
+
+
 def _check_eps(eps: float) -> None:
     """Require a type-I budget eps in the open interval (0, 1)."""
     if not 0.0 < eps < 1.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .divergences import ClassicalPair, _logsumexp, build_psi
 from .errors import ResourceLimitError, ValidationError
-from .linalg import SpectralDecomposition, _check_count, _check_threshold
+from .linalg import SpectralDecomposition, _check_count, _check_letters, _check_threshold
 
 MAX_TYPES = 2_000_000
 
@@ -81,8 +81,6 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     multinomial coefficients log(n! / prod c_i!) of shape (T,). Raises
     ResourceLimitError when T exceeds MAX_TYPES.
     """
-    if k < 1 or n < 0:
-        raise ValidationError(f"need k >= 1 and n >= 0, got k={k}, n={n}")
     total = math.comb(n + k - 1, k - 1)
     if total > MAX_TYPES:
         raise ResourceLimitError(f"type enumeration size {total} exceeds cap {MAX_TYPES}")
@@ -109,6 +107,32 @@ def _type_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _type_masses(p: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(statistic, log p-mass, log q-mass) of every type of n draws from the letters of p and q.
+
+    The statistic, the sum of log p - log q over the draws, is its own
+    column of `_type_sums`, so exact ties stay exact. A type that draws a
+    letter of zero mass has that mass 0 (log -inf) and the statistic +inf
+    where the q-mass is 0, -inf where the p-mass is 0; the indicator columns
+    that find them are summed only when some letter has zero mass.
+    """
+    counts, log_coef = _type_table(n, p.size)
+    zero_p, zero_q = p == 0.0, q == 0.0
+    log_p = np.log(np.where(zero_p, 1.0, p))
+    log_q = np.log(np.where(zero_q, 1.0, q))
+    columns = [log_p - log_q, log_p, log_q]
+    if zero_p.any() or zero_q.any():
+        columns += [zero_p, zero_q]
+    stat, log_mp, log_mq, *hits = _type_sums(counts, np.column_stack(columns))
+    log_mp += log_coef
+    log_mq += log_coef
+    if hits:
+        hits_p, hits_q = hits[0] > 0.0, hits[1] > 0.0
+        log_mp[hits_p], stat[hits_p] = -math.inf, -math.inf
+        log_mq[hits_q], stat[hits_q & ~hits_p] = -math.inf, math.inf
+    return stat, log_mp, log_mq
+
+
 class ClassicalErrors(NamedTuple):
     alpha: float
     beta: float
@@ -122,22 +146,16 @@ def classical_exact_errors_log(p, q, n: int, a: float) -> tuple[float, float, fl
     included; alpha is the p-mass of the complement, beta the q-mass of the
     region, mixed = exp(-n a) alpha + beta. Exact enumeration over types.
     """
-    pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape or pa.ndim != 1 or pa.size == 0:
-        raise ValidationError("p and q must be nonempty vectors of equal length")
-    if np.any(pa <= 0.0) or np.any(qa <= 0.0):
+    pa, qa = _check_letters(p, q)
+    if np.any(pa == 0.0) or np.any(qa == 0.0):
         raise ValidationError("p and q must be strictly positive")
     _check_count(n)
     _check_threshold(n, a)
-    counts, log_coef = _type_table(n, pa.size)
-    log_p = np.log(pa)
-    log_q = np.log(qa)
-    stat, s_p, s_q = _type_sums(counts, np.column_stack((log_p - log_q, log_p, log_q)))
+    stat, log_mp, log_mq = _type_masses(pa, qa, n)
     na = n * a
     accept = stat >= na
-    log_alpha = _logsumexp(log_coef[~accept] + s_p[~accept])
-    log_beta = _logsumexp(log_coef[accept] + s_q[accept])
+    log_alpha = _logsumexp(log_mp[~accept])
+    log_beta = _logsumexp(log_mq[accept])
     log_mixed = float(np.logaddexp(-na + log_alpha, log_beta))
     return log_alpha, log_beta, log_mixed
 

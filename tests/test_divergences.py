@@ -468,7 +468,8 @@ def test_out_of_window_rates_raise_on_every_call():
             messages.add(str(info.value))
         assert len(messages) == 1
     assert solve_t_r(curve, inside) == t_inside
-    assert curve._memo == {("solve_t_r", inside): t_inside}
+    # the window is read from the memo, filled by the first call whatever r it had
+    assert curve._memo == {("_t_r_window",): (lo_end, hi_end), ("solve_t_r", inside): t_inside}
     identical = build_psi(HALF.spectral(), HALF.spectral())
     for _ in range(3):
         with pytest.raises(DegeneracyError):

@@ -15,6 +15,7 @@ from qsdbounds import (
     build_psi,
     classical_beta_eps_exact,
     classical_exact_errors,
+    classical_exact_errors_log,
     en_bounds,
     en_exact_log,
     np_test_errors,
@@ -181,6 +182,8 @@ def test_classical_beta_eps_zero_eps_is_support_mass():
     assert classical_beta_eps_exact(p, q, 2, 0.0) == pytest.approx(0.25, abs=1e-12)
     shared = np.array([0.3, 0.7])
     assert classical_beta_eps_exact(shared, q, 2, 0.0) == pytest.approx(1.0, abs=1e-12)
+    # a shared support: every type is accepted, with no remainder of the budget left over
+    assert classical_beta_eps_exact([0.9, 0.1], [0.4, 0.6], 5, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_classical_beta_eps_eps_one_is_zero():
@@ -204,26 +207,83 @@ def test_beta_eps_zero_exactly_when_sigma_support_misses_enough_rho_mass():
     assert beta_eps_exact(rho, PLUS, 6, 0.1) == 0.0
 
 
-def test_quantum_matches_classical_on_diagonal_states():
-    rng = np.random.default_rng(306)
-    for _ in range(5):
-        pv = np.array([rng.uniform(0.1, 0.9), 0.0])
-        pv[1] = 1.0 - pv[0]
-        qv = np.array([rng.uniform(0.1, 0.9), 0.0])
-        qv[1] = 1.0 - qv[0]
-        n = int(rng.integers(1, 7))
-        eps = float(rng.uniform(0.1, 0.9))
-        quantum = beta_eps_exact(DensityMatrix(np.diag(pv)), DensityMatrix(np.diag(qv)), n, eps)
-        classical = classical_beta_eps_exact(pv, qv, n, eps)
-        assert quantum == pytest.approx(classical, abs=1e-9)
-    # qutrits with a zero entry in one state: the zero-mass masks of the type table
-    for pv, qv in (([0.5, 0.3, 0.2], [0.6, 0.0, 0.4]), ([0.0, 0.45, 0.55], [0.2, 0.5, 0.3])):
-        pv, qv = np.array(pv), np.array(qv)
-        for n in (1, 3, 5):
-            for eps in (0.1, 0.4):
-                quantum = beta_eps_exact(DensityMatrix(np.diag(pv)), DensityMatrix(np.diag(qv)), n, eps)
-                classical = classical_beta_eps_exact(pv, qv, n, eps)
-                assert quantum == pytest.approx(classical, abs=1e-9)
+# (p, q) per alphabet size, without and with a zero letter; no letter has p = q = 0
+DIAGONAL_PAIRS = {
+    (2, False): ([0.7, 0.3], [0.2, 0.8]),
+    (2, True): ([0.6, 0.4], [0.0, 1.0]),
+    (3, False): ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5]),
+    (3, True): ([0.0, 0.45, 0.55], [0.2, 0.5, 0.3]),
+    (4, False): ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+    (4, True): ([0.5, 0.3, 0.2, 0.0], [0.0, 0.2, 0.3, 0.5]),
+}
+
+
+@pytest.mark.parametrize("d,zero", sorted(DIAGONAL_PAIRS), ids=lambda v: str(v))
+def test_quantum_matches_classical_on_diagonal_states(d, zero):
+    # commuting states are their classical pair: both oracles give the same
+    # beta at every n under the cap, down to a budget of 1e-12
+    p, q = DIAGONAL_PAIRS[d, zero]
+    rho, sigma = DensityMatrix(np.diag(p)), DensityMatrix(np.diag(q))
+    ns = [n for n in range(1, 13) if d**n <= DIM_CAP]
+    for eps in (0.5, 0.1, 1e-3, 1e-6, 1e-9, 1e-12):
+        quantum = beta_eps_exact(rho, sigma, ns, eps)
+        for n, got in zip(ns, quantum.tolist()):
+            want = classical_beta_eps_exact(p, q, n, eps)
+            assert abs(got - want) <= 1e-10 * want, (n, eps, got, want)
+
+
+def _greedy_np_beta(p, q, n: int, eps: float) -> float:
+    """beta_{n,eps} at 60 digits: types rejected by ascending likelihood ratio
+    while their p-mass fits eps, the boundary type randomized."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+
+    def unit(masses):
+        masses = [mp.mpf(x) for x in masses]
+        total = mp.fsum(masses)
+        return [x / total for x in masses]
+
+    p, q = unit(p), unit(q)
+
+    def types(left, k):
+        if k == 1:
+            yield (left,)
+            return
+        for c in range(left + 1):
+            yield from ((c, *rest) for rest in types(left - c, k - 1))
+
+    masses = []
+    for counts in types(n, len(p)):
+        coef = mp.factorial(n) / mp.fprod(mp.factorial(c) for c in counts)
+        masses.append((coef * mp.fprod(x**c for x, c in zip(p, counts)),
+                       coef * mp.fprod(x**c for x, c in zip(q, counts))))
+    masses.sort(key=lambda m: m[0] / m[1] if m[1] else mp.inf)
+    budget, beta = mp.mpf(eps), mp.mpf(0)
+    for mass_p, mass_q in masses:
+        if mass_p <= budget:
+            budget -= mass_p
+        else:
+            beta += mass_q * (1 - budget / mass_p)
+            budget = 0
+    return float(beta)
+
+
+SMALL_EPS_ROWS = [
+    *(pytest.param([0.9, 0.1], [0.4, 0.6], n, math.exp(-n * r), id=f"n{n}-r{r}")
+      for n, r in ((100, 0.3), (100, 0.5), (200, 0.3), (40, 0.5), (200, 0.1))),
+    *(pytest.param(p, q, n, eps, id=f"k{len(p)}-eps{eps}")
+      for p, q, n in (([0.6, 0.3, 0.1], [0.2, 0.3, 0.5], 60), ([0.5, 0.25, 0.15, 0.1], [0.1, 0.2, 0.3, 0.4], 24))
+      for eps in (1e-12, 1e-20)),
+]
+
+
+@pytest.mark.parametrize("p,q,n,eps", SMALL_EPS_ROWS)
+def test_classical_beta_eps_is_exact_at_small_eps(p, q, n, eps):
+    # the Hoeffding regime eps = exp(-n r) goes far below the rounding of 1 - eps
+    want = _greedy_np_beta(p, q, n, eps)
+    assert classical_beta_eps_exact(p, q, n, eps) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 CROSS_CHECK_KINDS = ("full_rank", "rank_deficient", "pure_rho", "pure_sigma", "commuting", "near_degenerate")
@@ -566,6 +626,22 @@ def test_classical_oracles_reject_a_non_integer_n(oracle, n):
     with pytest.raises(ValidationError, match="integer"):
         _CLASSICAL_ORACLES[oracle](n)
     assert _CLASSICAL_ORACLES[oracle](np.int64(2)) == _CLASSICAL_ORACLES[oracle](2)
+
+
+_LETTER_CHECKS = {
+    "classical_beta_eps_exact": lambda p, q: classical_beta_eps_exact(p, q, 2, 0.1),
+    "classical_exact_errors_log": lambda p, q: classical_exact_errors_log(p, q, 2, 0.0),
+    "psi_curve_from_probabilities": psi_curve_from_probabilities,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", ["p", "q"])
+@pytest.mark.parametrize("entry", sorted(_LETTER_CHECKS))
+def test_classical_entry_points_reject_non_finite_masses(entry, side, bad):
+    masses = {"p": [bad, 0.5], "q": [0.5, 0.5]} if side == "p" else {"p": [0.5, 0.5], "q": [0.5, bad]}
+    with pytest.raises(ValidationError, match="finite"):
+        _LETTER_CHECKS[entry](**masses)
 
 
 def _gaussian_state(rng: np.random.Generator, d: int) -> DensityMatrix:

@@ -191,13 +191,14 @@ def test_hoeffding_upper_out_of_range():
 
 
 def test_hoeffding_upper_against_classical_oracle():
-    # exact optimal type-II error at exponential type-I level e^{-nr}
+    # exact optimal type-II error at exponential type-I level e^{-nr}, down to
+    # e^{-200} = 1.4e-87 at n = 400, r = 0.5
     from qsdbounds import classical_beta_eps_exact
 
     p = np.array([0.9, 0.1])
     q = np.array([0.4, 0.6])
-    for r in (0.05, 0.1):
-        for n in (10, 25, 40):
+    for r in (0.05, 0.1, 0.3, 0.5):
+        for n in (10, 25, 40, 100, 200, 400):
             out = hoeffding_upper(PAIR_A, n, r)
             exact = classical_beta_eps_exact(p, q, n, math.exp(-n * r))
             assert math.log(exact) / n <= out.bound_value + 1e-12

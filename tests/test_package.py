@@ -1,6 +1,7 @@
 """Package-level contract: public surface and signatures, import cost, and the README examples."""
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import os
@@ -146,3 +147,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv[1:] + ["--out", str(tmp_path / "out")])
         assert code == 0, argv
+
+
+def test_readme_constants_table_matches_the_modules():
+    section = README.read_text(encoding="utf-8").split("## Numerical constants", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| `([\w.]+)` \|", section, re.M)
+    assert len(rows) >= 9
+    for name, value, module in rows:
+        assert float(value.replace(",", "")) == getattr(importlib.import_module(module), name), name
