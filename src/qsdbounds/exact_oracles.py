@@ -157,47 +157,78 @@ def _build_generators(d: int, lam: Partition) -> np.ndarray:
     return out
 
 
-def _irrep_images(state: DensityMatrix, lams: tuple[Partition, ...]) -> list[np.ndarray]:
-    """pi_lam(a) for each lam: the action of a^(tensor n) on each Schur-Weyl block.
+def _pair_stack(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """rho and sigma as one (2, d, d) stack, real in a common basis for a qubit pair.
 
-    A diagram with d rows sheds its full columns: pi_lam(a) =
+    A qubit pair moves to an eigenbasis of sigma, unless a state is diagonal
+    already, whose exact zeros the input basis keeps; then the second basis
+    vector takes the phase that makes the off-diagonal entry of rho + sigma
+    real, and so both states real (two Bloch vectors span a plane). Pairs of
+    any other d stay complex and unrotated.
+    """
+    pair = np.stack((rho.array, sigma.array))
+    if rho.dim != 2:
+        return pair
+    if rho.array[0, 1] and sigma.array[0, 1]:
+        v = np.linalg.eigh(sigma.array)[1]
+        pair = v.conj().T @ pair @ v
+    b = pair[0, 0, 1] + pair[1, 0, 1]
+    if b:
+        pair[:, 0, 1] *= b.conjugate() / abs(b)
+        pair[:, 1, 0] *= b / abs(b)
+    return (pair.real + pair.real.swapaxes(1, 2)) / 2.0
+
+
+def _pair_images(
+    rho: DensityMatrix, sigma: DensityMatrix, lams: tuple[Partition, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(pi_lam(rho), pi_lam(sigma)) for each lam: the action of each n-th tensor power on each block.
+
+    Both states go through every step as one (2, f, f) stack in the basis of
+    `_pair_stack`. A diagram with d rows sheds its full columns: pi_lam(a) =
     det(a)^(lam_d) pi_(lam - lam_d)(a). Otherwise pi_lam(a) =
     W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so that every block is
     exactly Hermitian. det is the product of the eigenvalues clamped at 0, so
     rounding cannot make det^k of a rank-deficient state negative.
 
-    det and every image built, the parents included, stay in state.memo as
-    one (det, images) pair, so an n-sweep builds each image once. They are
-    built and read under _IRREPS_LOCK: threads sharing the state get the
-    same read-only arrays, whatever order they ask for n in.
+    The stack, both dets and every image built, the parents included, stay
+    in rho.pair_memo(sigma) with their per-state views, so an n-sweep builds
+    each image once. They are built and read under _IRREPS_LOCK: threads
+    get the same read-only arrays, whatever order they ask for n in.
     """
-    a = state.array
-    d = a.shape[0]
+    d = rho.dim
     with _IRREPS_LOCK:
-        if "irreps" not in state.memo:
-            det = max(float(np.prod(np.linalg.eigvalsh(a))), 0.0)
-            one = np.ones((1, 1), dtype=np.complex128)
-            one.flags.writeable = False
-            state.memo["irreps"] = (det, {(): one, (1,): a})
-        det, images = state.memo["irreps"]
+        memo = rho.pair_memo(sigma)
+        if "irreps" not in memo:
+            pair = _pair_stack(rho, sigma)
+            dets = [max(float(np.prod(np.linalg.eigvalsh(x.array))), 0.0) for x in (rho, sigma)]
+            memo["irreps"] = (dets, {(): np.ones((2, 1, 1), pair.dtype), (1,): pair}, {})
+        dets, stacks, views = memo["irreps"]
+        pair = stacks[(1,)]
 
         def image(lam: Partition) -> np.ndarray:
-            if lam not in images:
+            if lam not in stacks:
                 if len(lam) == d:
                     full = lam[-1]
-                    rep = det**full * image(tuple(r - full for r in lam if r > full))
+                    scale = np.array([det**full for det in dets])[:, None, None]
+                    rep = scale * image(tuple(r - full for r in lam if r > full))
                 else:
                     w = _basis(d, lam)[0]
                     rep_mu = image(_parent(lam)[0])
-                    k, f = rep_mu.shape[0], w.shape[1]
+                    k, f = rep_mu.shape[1], w.shape[1]
                     # (pi_mu(a) (x) a) W without forming the Kronecker product
-                    s = w.T @ (rep_mu @ (a @ w.reshape(k, d, f)).reshape(k, d * f)).reshape(k * d, f)
-                    rep = (s + s.conj().T) / 2.0
-                rep.flags.writeable = False
-                images[lam] = rep
-            return images[lam]
+                    s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
+                    s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
+                    rep = (s + s.conj().swapaxes(1, 2)) / 2.0
+                stacks[lam] = rep
+            return stacks[lam]
 
-        return [image(lam) for lam in lams]
+        for lam in lams:
+            if lam not in views:
+                rep = image(lam)
+                rep.flags.writeable = False
+                views[lam] = (rep[0], rep[1])
+        return [views[lam] for lam in lams]
 
 
 def _within_cap(d: int, n: int) -> bool:
@@ -216,7 +247,7 @@ def _block_pair(
     f^lam times (the number of standard Young tableaux of shape lam). For
     qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The cap
     d^n <= DIM_CAP bounds n for every d. The blocks are read-only arrays
-    kept on each state (see `_irrep_images`).
+    kept on the pair, real for every qubit pair (see `_pair_images`).
     """
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
@@ -224,7 +255,7 @@ def _block_pair(
     if not _within_cap(rho.dim, n):
         raise ResourceLimitError(f"product dimension {rho.dim}^{n} exceeds cap {DIM_CAP}")
     lams, mults = _block_shapes(n, rho.dim)
-    return list(zip(mults, _irrep_images(rho, lams), _irrep_images(sigma, lams)))
+    return [(m, r, s) for m, (r, s) in zip(mults, _pair_images(rho, sigma, lams))]
 
 
 def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> float:
@@ -269,7 +300,7 @@ def _stacks(blocks_by_n: list[list[tuple[int, np.ndarray, np.ndarray]]]) -> list
             stacks.append((np.array(owner), weight, rs[0][None], ss[0][None]))
             continue
         rows = max(r.shape[0] for r in rs)
-        r_stack = np.zeros((len(group), rows, rows), dtype=np.complex128)
+        r_stack = np.zeros((len(group), rows, rows), dtype=rs[0].dtype)
         s_stack = np.zeros_like(r_stack)
         s_stack[:, range(rows), range(rows)] = 1.0
         for j, (r, s) in enumerate(zip(rs, ss)):

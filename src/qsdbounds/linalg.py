@@ -1,13 +1,13 @@
 """Dense Hermitian linear algebra underlying the discrimination bounds.
 
-Works on plain complex ndarrays: eigendecomposition with eigenvalue
-grouping into distinct clusters, each kept as an orthonormal block of
-eigenvectors, operator powers restricted to the support, tensor products
-with a hard dimension cap, and trace functionals (trace norm, trace of the
-positive part). DensityMatrix is the one place where outside input is
-validated and symmetrized; the functions here read the Hermitian arrays
-they are given without copying them. Each tolerance and cap is one module
-constant below, not a per-call option.
+Works on plain complex or real ndarrays: eigendecomposition with
+eigenvalue grouping into distinct clusters, each kept as an orthonormal
+block of eigenvectors, operator powers restricted to the support, tensor
+products with a hard dimension cap, and trace functionals (trace norm,
+trace of the positive part). DensityMatrix is the one place where outside
+input is validated and symmetrized; the functions here read the Hermitian
+arrays they are given without copying them. Each tolerance and cap is one
+module constant below, not a per-call option.
 """
 from __future__ import annotations
 
@@ -299,16 +299,14 @@ class DensityMatrix:
     and form a square matrix, which is stored symmetrized, (M + M^H) / 2, as
     a read-only complex128 array, so array[j, k] == conj(array[k, j]) holds
     exactly afterwards. Since the array never changes, the state keeps its
-    spectral decomposition once computed, `memo` is a dict for other results
-    of the state alone (`exact_oracles` keeps its Schur-Weyl block images
-    there), and `pair_memo` gives each partner state a dict for results of
-    the ordered pair that do not depend on n.
+    spectral decomposition once computed, and `pair_memo` gives each partner
+    state a dict for results of the ordered pair that do not depend on n
+    (`exact_oracles` keeps the pair's Schur-Weyl block images there).
     """
 
-    __slots__ = ("array", "memo", "_spectral", "_pair_memos")
+    __slots__ = ("array", "_spectral", "_pair_memos")
 
     array: np.ndarray
-    memo: dict
 
     def __init__(self, matrix) -> None:
         a = np.array(matrix, dtype=np.complex128)
@@ -325,7 +323,6 @@ class DensityMatrix:
             raise ValidationError(f"state has a negative eigenvalue: {float(w.min())!r}")
         h.flags.writeable = False
         self.array = h
-        self.memo = {}
         self._spectral = None
         self._pair_memos = {}
 

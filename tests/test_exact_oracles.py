@@ -146,16 +146,14 @@ TINY_BETA_SIGMA = DensityMatrix([[0.151504, 0.006306 + 0.301881j], [0.006306 - 0
         (8, 6.3756056953e-10),
         (10, 5.0070860586e-12),
         (11, 4.0868183327e-13),
-        pytest.param(12, 3.3892596668e-14, marks=pytest.mark.xfail(
-            strict=True,
-            reason="the double-precision Schur-Weyl blocks round beta = 3.4e-14 at n = 12 "
-            "to 3.5e-6 relative (ROADMAP item 1: log-scale blocks)",
-        )),
+        (12, 3.3892596668e-14),
     ],
 )
 def test_beta_eps_keeps_tiny_beta(n, want):
+    # the qubit blocks are real in sigma's eigenbasis, where pi_lam(sigma) is
+    # diagonal, which keeps beta = 3.4e-14 at n = 12 to 1e-9
     got = beta_eps_exact(TINY_BETA_RHO, TINY_BETA_SIGMA, n, 0.3)
-    assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_beta_eps_never_below_np_test_beta():
@@ -652,11 +650,11 @@ def _gaussian_state(rng: np.random.Generator, d: int) -> DensityMatrix:
 
 def test_np_search_ends_at_its_rounding_floor_without_the_gap_tolerance(monkeypatch):
     # with _GAP_RTOL = 0 only the stop on a round that no longer shrinks
-    # primal - dual can end a search that does not close exactly; the third
-    # qubit pair of this seed needs that stop
+    # primal - dual can end a search that does not close exactly; the second
+    # qutrit pair of this seed needs that stop, in complex arithmetic
     rng = np.random.default_rng(3)
     pairs = [(_gaussian_state(rng, 2), _gaussian_state(rng, 2)) for _ in range(4)]
-    pairs.append((_gaussian_state(rng, 3), _gaussian_state(rng, 3)))
+    pairs += [(_gaussian_state(rng, 3), _gaussian_state(rng, 3)) for _ in range(2)]
     ns = list(range(1, 6))
     want = [exact_oracles._beta_eps_sweep(rho, sigma, ns, 0.1) for rho, sigma in pairs]
     rounds = np.zeros(len(ns), dtype=int)
@@ -668,12 +666,70 @@ def test_np_search_ends_at_its_rounding_floor_without_the_gap_tolerance(monkeypa
 
     monkeypatch.setattr(exact_oracles, "_np_round", counted)
     monkeypatch.setattr(exact_oracles, "_GAP_RTOL", 0.0)
-    floor_stops = 0
+    floor_stops = Counter()
     for (rho, sigma), (want_dual, _) in zip(pairs, want):
         rounds[:] = 0
         dual, primal = exact_oracles._beta_eps_sweep(rho, sigma, ns, 0.1)
         assert rounds.max() <= 40, rounds
         assert np.all(np.abs(dual - want_dual) <= 1e-12 * want_dual)
         assert np.all(np.abs(primal - dual) <= 1e-12 * primal)
-        floor_stops += int(np.count_nonzero(primal > dual))
-    assert floor_stops >= 1  # a search that ended with its gap still open
+        floor_stops[rho.dim] += int(np.count_nonzero(primal > dual))
+    assert floor_stops.total() >= 1  # a search that ended with its gap still open
+    assert floor_stops[3] >= 1  # one of them on complex qutrit blocks
+
+
+def _basis_rule_pair(kind: str) -> tuple[DensityMatrix, DensityMatrix]:
+    rng = np.random.default_rng(812)
+    if kind == "real-qutrit":
+        return DensityMatrix(np.diag([0.5, 0.3, 0.2])), DensityMatrix(np.diag([0.17, 0.36, 0.47]))
+    if kind == "complex-qutrit":
+        return random_full_rank_state(rng, 3), random_full_rank_state(rng, 3)
+    diagonal, generic = DensityMatrix(np.diag([0.7, 0.3])), random_full_rank_state(rng, 2)
+    if kind == "rho-diagonal":
+        return diagonal, generic
+    if kind == "sigma-diagonal":
+        return generic, diagonal
+    # off-diagonal entries of phase 0.46 and 1.95 rad
+    return (DensityMatrix([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]),
+            DensityMatrix([[0.3, -0.1 + 0.25j], [-0.1 - 0.25j, 0.7]]))
+
+
+@pytest.mark.parametrize("kind,dtype", [
+    ("real-qutrit", np.complex128),
+    ("rho-diagonal", np.float64),
+    ("sigma-diagonal", np.float64),
+    ("generic-qubit", np.float64),
+    ("complex-qutrit", np.complex128),
+])
+def test_pair_basis_is_real_for_every_qubit_pair_and_moves_no_oracle(kind, dtype):
+    # every qubit pair gets real blocks, any other pair, even a real one, complex
+    # blocks; the oracles must not see the basis: the same pair turned by a
+    # random unitary, which leaves no state diagonal or real, gives the same values
+    rho, sigma = _basis_rule_pair(kind)
+    for n in (1, 2, 5):
+        assert all(r.dtype == dtype and s.dtype == dtype for _, r, s in exact_oracles._block_pair(rho, sigma, n))
+    u = random_unitary(np.random.default_rng(813), rho.dim)
+    rho_u, sigma_u = (DensityMatrix(u @ x.array @ u.conj().T) for x in (rho, sigma))
+    ns = list(range(1, 7))
+    np.testing.assert_allclose(
+        beta_eps_exact(rho, sigma, ns, 0.1), beta_eps_exact(rho_u, sigma_u, ns, 0.1), rtol=1e-10, atol=0.0)
+    for n in ns:
+        for a in (-0.2, 0.0, 0.3):
+            want = quantum_mixed_error_exact(rho_u, sigma_u, n, a)
+            assert quantum_mixed_error_exact(rho, sigma, n, a) == pytest.approx(want, rel=1e-10, abs=0.0)
+            got, want = np_test_errors(rho, sigma, n, a), np_test_errors(rho_u, sigma_u, n, a)
+            assert not got.degenerate_kernel and not want.degenerate_kernel
+            assert got.alpha == pytest.approx(want.alpha, rel=1e-10, abs=0.0)
+            assert got.beta == pytest.approx(want.beta, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_np_test_of_a_pure_pair_keeps_the_exact_input_basis(n):
+    # rho = |0><0| is diagonal as given, so the blocks keep that basis and its
+    # exact zeros; kappa alpha + beta is then the Helstrom error
+    # 1 - sqrt(1 - F^n), F = |<0|phi>|^2 = 0.05, written without cancellation
+    phi = [math.sqrt(0.05), math.sqrt(0.95) * complex(math.cos(0.7), math.sin(0.7))]
+    out = np_test_errors(ZERO, DensityMatrix.pure(phi), n, 0.0)
+    fidelity = 0.05**n
+    want = fidelity / (1.0 + math.sqrt(1.0 - fidelity))
+    assert out.alpha + out.beta == pytest.approx(want, rel=1e-13, abs=0.0)
