@@ -178,32 +178,34 @@ def _cmd_divergences(args) -> int:
     return 0
 
 
+def _exact_rates(oracle, dim: int, n_max: int) -> list:
+    """(1/n) log of one oracle call over the n = 1..n_max under the cap: -inf
+    where the value is 0, and None, an empty cell, beyond the cap."""
+    capped = [n for n in range(1, n_max + 1) if _within_cap(dim, n)]
+    values = oracle(capped).tolist()
+    rates = [math.log(v) / n if v > 0.0 else -math.inf for n, v in zip(capped, values)]
+    return rates + [None] * (n_max - len(capped))
+
+
 def _cmd_stein(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = _state_pair(rho, sigma)
-
-    ns = range(1, args.n_max + 1)
-    capped = [n for n in ns if _within_cap(rho.dim, n)]
-    betas = beta_eps_exact(rho, sigma, capped, args.eps).tolist()
+    exact = _exact_rates(lambda ns: beta_eps_exact(rho, sigma, ns, args.eps), rho.dim, args.n_max)
 
     def row(n: int) -> list:
         lower = stein_lower(curve, n, args.eps, args.variant)
         upper = stein_upper(curve, n, args.eps, args.variant)
-        if n > len(betas):  # beyond the oracle's cap the cell stays empty
-            exact = None
-        else:
-            exact = math.log(betas[n - 1]) / n if betas[n - 1] > 0.0 else -math.inf
         ref = second_order_reference(curve, n, args.eps)
         return [
             n,
             lower.bound_value if lower.valid else None,
             upper.bound_value if upper.valid else None,
-            exact,
+            exact[n - 1],
             ref.bound_value if ref.valid else None,
         ]
 
-    rows = [row(n) for n in ns]
+    rows = [row(n) for n in range(1, args.n_max + 1)]
     _write_csv(args.out, "stein.csv", "n,lower,upper,exact_if_feasible,second_order_ref", rows)
     return 0
 
@@ -232,16 +234,11 @@ def _cmd_chernoff(args) -> int:
     # -phi(0) does not depend on n
     upper = mixed_upper(curve, 1, 0.0).mixed
     upper_rate = upper.bound_value if upper.valid else None
+    exact = _exact_rates(lambda ns: quantum_mixed_error_exact(rho, sigma, ns, 0.0), rho.dim, args.n_max)
 
     def row(n: int) -> list:
         lower = quantum_chernoff_lower(rho, sigma, n)
-        try:
-            e_n = quantum_mixed_error_exact(rho, sigma, n, 0.0)
-        except ResourceLimitError:  # beyond the oracle's cap the cell stays empty
-            exact = None
-        else:
-            exact = math.log(e_n) / n if e_n > 0.0 else -math.inf
-        return [n, upper_rate, lower.bound_value if lower.valid else None, exact]
+        return [n, upper_rate, lower.bound_value if lower.valid else None, exact[n - 1]]
 
     rows = [row(n) for n in range(1, args.n_max + 1)]
     _write_csv(

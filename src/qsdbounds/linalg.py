@@ -2,9 +2,10 @@
 
 Works on plain complex or real ndarrays: eigendecomposition with
 eigenvalue grouping into distinct clusters, each kept as an orthonormal
-block of eigenvectors, operator powers restricted to the support, tensor
-products with a hard dimension cap, and trace functionals (trace norm,
-trace of the positive part). DensityMatrix is the one place where outside
+block of eigenvectors, operator powers restricted to the support, a tensor
+product with a hard dimension cap and the trace of the positive part. The
+exact oracles take their Schur-Weyl block spectra from batched eigensolves
+of their own, not from here. DensityMatrix is the one place where outside
 input is validated and symmetrized; the functions here read the Hermitian
 arrays they are given without copying them. Each tolerance and cap is one
 module constant below, not a per-call option.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ResourceLimitError, ValidationError
 
-DIM_CAP = 4096  # largest d^n of a tensor power or an exact oracle
+DIM_CAP = 4096  # largest d^n of a tensor product or an exact oracle
 DEFAULT_GROUP_TOL = 1e-8  # eigenvalue gap, relative to max(1, ||H||), that splits clusters
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at most this times the largest count as zero
 WEIGHT_CUTOFF = 1e-12  # overlaps Tr P_i Q_j at most this leave the joint support
@@ -177,8 +178,7 @@ class SpectralDecomposition:
 
 
 def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    # exact-diagonal fast path: diagonal states, and the Schur-Weyl blocks of a
-    # diagonal pair whose weight spaces are one-dimensional (every qubit block)
+    # exact-diagonal fast path for diagonal states
     if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
         return np.sort(arr.diagonal().real)
     return np.linalg.eigvalsh(arr)
@@ -240,23 +240,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if out_dim > DIM_CAP:
         raise ResourceLimitError(f"tensor product dimension {out_dim} exceeds cap {DIM_CAP}")
     return np.kron(a, b)
-
-
-def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold tensor power, n >= 1, subject to the dimension cap."""
-    a = np.asarray(a)
-    _check_count(n)
-    if a.shape[0] ** n > DIM_CAP:
-        raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {DIM_CAP}")
-    out = a
-    for _ in range(n - 1):
-        out = kron(out, a)
-    return out
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """Trace norm ||H||_1 of a Hermitian array: the sum of |eigenvalues|."""
-    return _fsum(np.abs(_eigvalsh(h)))
 
 
 def positive_part_trace(h: np.ndarray) -> float:

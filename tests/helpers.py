@@ -6,7 +6,21 @@ from itertools import product
 
 import numpy as np
 
-from qsdbounds import DensityMatrix
+from qsdbounds import DensityMatrix, ResourceLimitError
+from qsdbounds.linalg import DIM_CAP, _check_count
+
+
+def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
+    """The dense n-fold tensor power, n >= 1, up to d^n <= DIM_CAP: the reference
+    that the Schur-Weyl blocks of the exact oracles are checked against."""
+    a = np.asarray(a)
+    _check_count(n)
+    if a.shape[0] ** n > DIM_CAP:
+        raise ResourceLimitError(f"tensor power dimension {a.shape[0]}^{n} exceeds cap {DIM_CAP}")
+    out = a
+    for _ in range(n - 1):
+        out = np.kron(out, a)
+    return out
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -35,11 +35,10 @@ from qsdbounds import (
     renyi,
     stein_lower,
     stein_upper,
-    tensor_power,
 )
 from qsdbounds.ns_mapping import ClassicalPair
 
-from helpers import inc_beta_quadrature, qubit_pairs, random_full_rank_state, random_unitary
+from helpers import inc_beta_quadrature, qubit_pairs, random_full_rank_state, random_unitary, tensor_power
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

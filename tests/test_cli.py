@@ -121,18 +121,24 @@ def test_qutrit_exact_columns_fill_up_to_the_cap(tmp_path, qutrit_files, monkeyp
     rho_f, sig_f = qutrit_files
     out = tmp_path / "out"
     calls = []
-    beta_eps_exact = cli.beta_eps_exact
 
-    def recorded(rho, sigma, n, eps):
-        calls.append(list(n))
-        return beta_eps_exact(rho, sigma, n, eps)
+    def record(name):
+        oracle = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "beta_eps_exact", recorded)
+        def recorded(rho, sigma, n, x):
+            calls.append((name, list(n)))
+            return oracle(rho, sigma, n, x)
+
+        monkeypatch.setattr(cli, name, recorded)
+
+    record("beta_eps_exact")
+    record("quantum_mixed_error_exact")
     assert main(["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1",
                  "--n-max", "8", "--out", str(out)]) == 0
-    assert calls == [list(range(1, 8))]  # one sweep over every n under the cap
     assert main(["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "8",
                  "--out", str(out)]) == 0
+    # one sweep per request over every n under the cap
+    assert calls == [("beta_eps_exact", list(range(1, 8))), ("quantum_mixed_error_exact", list(range(1, 8)))]
     for name, column in (("stein.csv", 3), ("chernoff.csv", 3)):
         exact = [line.split(",")[column] for line in (out / name).read_text().splitlines()[1:]]
         assert all(math.isfinite(float(cell)) and float(cell) < 0.0 for cell in exact[:7]), name
@@ -403,6 +409,9 @@ def test_chernoff_builds_one_pair_and_solves_its_search_once(tmp_path, pair_file
     rows = [line.split(",") for line in (out / "chernoff.csv").read_text().splitlines()[1:]]
     assert [row[2] != "" for row in rows] == [n >= 12 for n in range(1, 21)]
     assert counts == {"support_overlap_table": 1, "bisect_decreasing": 1}
+    # n = 12, the one row with both the lower bound and the exact rate
+    assert [row[3] != "" for row in rows] == [n <= 12 for n in range(1, 21)]
+    assert float(rows[11][2]) <= float(rows[11][3])
 
 
 def test_divergences_runs_on_a_128_dim_state_pair(tmp_path):

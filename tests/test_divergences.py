@@ -28,9 +28,9 @@ from qsdbounds import (
     solve_t_r,
 )
 from qsdbounds.divergences import _GRID_BLOCK, _logsumexp, _logsumexp_rows, _psi_moments_rows, _state_pair
-from qsdbounds.linalg import _FSUM_TREE_MIN, tensor_power
+from qsdbounds.linalg import _FSUM_TREE_MIN
 
-from helpers import qubit_pairs, random_full_rank_state
+from helpers import qubit_pairs, random_full_rank_state, tensor_power
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]))
 ONE = DensityMatrix(np.diag([0.0, 1.0]))

@@ -21,14 +21,18 @@ from qsdbounds import (
     np_test_errors,
     phi,
     phi_hat,
+    psi,
     psi_curve_from_probabilities,
+    psi_prime,
+    quantum_chernoff_lower,
     quantum_mixed_error_exact,
+    quantum_mixed_lower,
     rate_curve,
 )
 from qsdbounds import exact_oracles
-from qsdbounds.linalg import DIM_CAP, tensor_power
+from qsdbounds.linalg import DIM_CAP
 
-from helpers import qubit_pairs, random_full_rank_state, random_unitary
+from helpers import qubit_pairs, random_full_rank_state, random_unitary, tensor_power
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]))
 ONE = DensityMatrix(np.diag([0.0, 1.0]))
@@ -441,34 +445,70 @@ def test_np_search_brackets_the_dense_bisection(kind, d, n_max, monkeypatch):
 
 
 def _sweep_cases():
-    # d = 4 stops at n = 3, where the dense reference bisects 64 x 64 matrices
-    for d, n_max in ((2, 6), (3, 4), (4, 3)):
+    # beta: d = 4 stops at n = 3, where the dense reference bisects 64 x 64
+    # matrices; e_n, a single eigensolve per stack, runs to the cap
+    for d, n_max, n_cap in ((2, 6, 12), (3, 4, 7), (4, 3, 6)):
         for kind in CROSS_CHECK_KINDS:
             for eps in (0.05, 0.3):
-                yield pytest.param(kind, d, n_max, eps, id=f"{kind}-d{d}-eps{eps}")
+                yield pytest.param("beta_eps_exact", kind, d, n_max, eps, id=f"{kind}-d{d}-eps{eps}")
+            for a in (0.0, 0.1):
+                yield pytest.param("quantum_mixed_error_exact", kind, d, n_cap, a, id=f"e_n-{kind}-d{d}-a{a}")
 
 
-@pytest.mark.parametrize("kind,d,n_max,eps", _sweep_cases())
-def test_beta_eps_sweep_matches_each_n_alone(kind, d, n_max, eps):
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("an eigensolve ran before the cap was checked")
+
+
+@pytest.mark.parametrize("oracle,kind,d,n_max,x", _sweep_cases())
+def test_beta_eps_sweep_matches_each_n_alone(oracle, kind, d, n_max, x, monkeypatch):
     # the sweep pads the small blocks of all n into one stack, so its roundings
-    # differ from those of one n alone; both must still meet the dense bisection
+    # differ from those of one n alone; beta must still meet the dense bisection
+    call = beta_eps_exact if oracle == "beta_eps_exact" else quantum_mixed_error_exact
     rho, sigma = _cross_check_pair(kind, d)
-    sweep = beta_eps_exact(rho, sigma, range(1, n_max + 1), eps)
+    sweep = call(rho, sigma, range(1, n_max + 1), x)
     assert isinstance(sweep, np.ndarray) and sweep.dtype == np.float64 and sweep.shape == (n_max,)
     for n, got in zip(range(1, n_max + 1), sweep.tolist()):
-        alone = beta_eps_exact(rho, sigma, n, eps)
+        alone = call(rho, sigma, n, x)
         assert isinstance(alone, float)
+        if call is quantum_mixed_error_exact:
+            assert abs(got - alone) <= 1e-14, n  # e_n cancels: its rounding floor is absolute
+            continue
         assert abs(got - alone) <= 1e-12 * alone, n
         if alone == 0.0:  # the support test, which the dense bisection does not make
             continue
-        want = _dense_np_bisection(rho, sigma, n, eps)
+        want = _dense_np_bisection(rho, sigma, n, x)
         assert abs(got - want) <= 1e-9 * want, n
         assert abs(alone - want) <= 1e-9 * want, n
     n_cap = next(n for n in range(1, 14) if d ** (n + 1) > DIM_CAP)
+    rho, sigma = _cross_check_pair(kind, d)  # fresh states, with no block image built
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolve)
     with pytest.raises(ResourceLimitError):
-        beta_eps_exact(rho, sigma, [1, n_cap + 1], eps)
+        call(rho, sigma, [1, n_cap + 1], x)
     with pytest.raises(ResourceLimitError):
-        beta_eps_exact(rho, sigma, n_cap + 1, eps)
+        call(rho, sigma, n_cap + 1, x)
+
+
+def test_quantum_lower_bounds_sit_below_the_exact_mixed_error_at_n_12():
+    # n = 12 = d^2 (d^2 - 1) is the one qubit n under the cap where the paper's
+    # quantum lower bounds hold; r runs over 1/4, 1/2 and 3/4 of (-psi(1), -psi(0) - psi'(0))
+    checked = 0
+    for kind in CROSS_CHECK_KINDS:
+        rho, sigma = _cross_check_pair(kind)
+        curve = build_psi(rho.spectral(), sigma.spectral())
+        lo, hi = -psi(curve, 1.0), -psi(curve, 0.0) - psi_prime(curve, 0.0)
+        reports = [(quantum_chernoff_lower(rho, sigma, 12), 0.0)]
+        for share in (0.25, 0.5, 0.75):
+            report = quantum_mixed_lower(rho, sigma, 12, lo + share * (hi - lo))
+            reports.append((report, report.parameters.get("a_r")))
+        for report, a in reports:
+            if not report.valid:
+                assert report.reason, kind
+                continue
+            exact = math.log(quantum_mixed_error_exact(rho, sigma, 12, a)) / 12
+            assert report.bound_value <= exact, (kind, report.parameters)
+            checked += 1
+    assert checked >= 15  # full rank, pure rho, pure sigma, commuting, near degenerate
 
 
 def _spectrum_case(d: int) -> tuple[DensityMatrix, DensityMatrix]:
@@ -596,8 +636,9 @@ _ORACLES = {
 }
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, [1, 2.5], [2.0], (1, 2.0)],
-                         ids=["2.5", "2.0", "float64", "bool", "list-2.5", "list-2.0", "tuple-2.0"])
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, [1, 2.5], [2.0], (1, 2.0), [True], [[1, 2]]],
+                         ids=["2.5", "2.0", "float64", "bool", "list-2.5", "list-2.0", "tuple-2.0",
+                              "list-bool", "2-D"])
 @pytest.mark.parametrize("oracle", sorted(_ORACLES))
 def test_quantum_oracles_reject_a_non_integer_n(oracle, n):
     rho, sigma = qubit_pairs(811, 1)[0]

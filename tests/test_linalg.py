@@ -14,11 +14,9 @@ from qsdbounds.linalg import (
     matrix_power_support,
     positive_part_trace,
     support_overlap_table,
-    tensor_power,
-    trace_norm,
 )
 
-from helpers import random_full_rank_state, random_unitary
+from helpers import random_full_rank_state, random_unitary, tensor_power
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 ZERO = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -135,35 +133,20 @@ def test_tensor_power_cap():
             tensor_power(np.eye(2), n)
 
 
-def test_trace_norm_values():
-    assert trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
-    assert trace_norm(np.zeros((2, 2))) == 0.0
-    assert trace_norm(ZERO - PLUS) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-
 def test_positive_part_trace_values():
     assert positive_part_trace(np.diag([1.0, -2.0])) == pytest.approx(1.0, abs=1e-12)
     assert positive_part_trace(np.diag([0.3, 0.7])) == pytest.approx(1.0, abs=1e-12)
     assert positive_part_trace(ZERO - PLUS) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
 
-def test_positive_part_identity_with_trace_norm():
+def test_positive_part_trace_matches_the_positive_eigenvalues():
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = (z + z.conj().T) / 2.0
-        tn = trace_norm(h)
-        assert positive_part_trace(h) == pytest.approx((np.trace(h).real + tn) / 2.0, abs=1e-10)
-        assert tn == pytest.approx(positive_part_trace(h) + positive_part_trace(-h), abs=1e-10)
-
-
-def test_trace_norm_multiplicative_under_kron():
-    rng = np.random.default_rng(9)
-    za = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    zb = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    a = (za + za.conj().T) / 2.0
-    b = (zb + zb.conj().T) / 2.0
-    assert trace_norm(kron(a, b)) == pytest.approx(trace_norm(a) * trace_norm(b), rel=1e-9)
+        w = np.linalg.eigvalsh(h)
+        assert positive_part_trace(h) == pytest.approx(math.fsum(w[w > 0.0].tolist()), abs=1e-12)
+        assert positive_part_trace(h) - positive_part_trace(-h) == pytest.approx(np.trace(h).real, abs=1e-10)
 
 
 def test_density_matrix_validation():

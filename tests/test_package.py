@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "quantum_chernoff_lower", "quantum_mixed_error_exact", "quantum_mixed_lower", "rate_curve",
     "relative_entropy", "relative_entropy_variance", "renyi", "second_order_reference",
     "solve_t_r", "stein_lower", "stein_upper", "stein_upper_generic", "stein_upper_intermediate",
-    "tensor_power", "trace_norm",
 ]
 
 
@@ -116,6 +115,17 @@ def test_import_does_not_load_scipy_special():
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_writes_the_lower_bound_cells(tmp_path):
+    # rows 12 and 13 are the first where the quantum Chernoff lower bound holds for qubits
+    data = ROOT / "tests" / "data"
+    argv = [sys.executable, "-m", "qsdbounds", "chernoff", "--rho", str(data / "qubit_rho.json"),
+            "--sigma", str(data / "qubit_sigma.json"), "--n-max", "13", "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=_package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in (tmp_path / "chernoff.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[2] != "") for row in rows[11:]] == [("12", True), ("13", True)]
 
 
 def test_readme_library_example_runs(tmp_path):
