@@ -22,7 +22,7 @@ import numpy as np
 from .classical_binary import BinaryPair, rate_curve
 from .divergences import _psi_moments_rows, _state_pair, profile_from_curve
 from .errors import QsdError, ResourceLimitError, ValidationError
-from .exact_oracles import _within_cap, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
+from .exact_oracles import _max_copies, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
 from .finite_bounds import (
     STEIN_VARIANTS,
     hoeffding_upper,
@@ -181,7 +181,7 @@ def _cmd_divergences(args) -> int:
 def _exact_rates(oracle, dim: int, n_max: int) -> list:
     """(1/n) log of one oracle call over the n = 1..n_max under the cap: -inf
     where the value is 0, and None, an empty cell, beyond the cap."""
-    capped = [n for n in range(1, n_max + 1) if _within_cap(dim, n)]
+    capped = range(1, min(n_max, _max_copies(dim)) + 1)
     values = oracle(capped).tolist()
     rates = [math.log(v) / n if v > 0.0 else -math.inf for n, v in zip(capped, values)]
     return rates + [None] * (n_max - len(capped))
@@ -191,21 +191,12 @@ def _cmd_stein(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = _state_pair(rho, sigma)
-    exact = _exact_rates(lambda ns: beta_eps_exact(rho, sigma, ns, args.eps), rho.dim, args.n_max)
-
-    def row(n: int) -> list:
-        lower = stein_lower(curve, n, args.eps, args.variant)
-        upper = stein_upper(curve, n, args.eps, args.variant)
-        ref = second_order_reference(curve, n, args.eps)
-        return [
-            n,
-            lower.bound_value if lower.valid else None,
-            upper.bound_value if upper.valid else None,
-            exact[n - 1],
-            ref.bound_value if ref.valid else None,
-        ]
-
-    rows = [row(n) for n in range(1, args.n_max + 1)]
+    exact = _exact_rates(lambda capped: beta_eps_exact(rho, sigma, capped, args.eps), rho.dim, args.n_max)
+    ns = range(1, args.n_max + 1)
+    lower = stein_lower(curve, ns, args.eps, args.variant).bound_value.tolist()
+    upper = stein_upper(curve, ns, args.eps, args.variant).bound_value.tolist()
+    ref = second_order_reference(curve, ns, args.eps).bound_value.tolist()
+    rows = list(zip(ns, lower, upper, exact, ref))
     _write_csv(args.out, "stein.csv", "n,lower,upper,exact_if_feasible,second_order_ref", rows)
     return 0
 
@@ -214,15 +205,11 @@ def _cmd_hoeffding(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = _state_pair(rho, sigma)
-    first = hoeffding_upper(curve, 1, args.r)
-    if not first.valid:
-        raise ValidationError(f"hoeffding bound unavailable: {first.reason}")
-    t_r = first.parameters["t_r"]
-    h_r = first.parameters["hoeffding_distance"]
-    rows = [
-        [n, hoeffding_upper(curve, n, args.r).bound_value, t_r, h_r]
-        for n in range(1, args.n_max + 1)
-    ]
+    upper = hoeffding_upper(curve, range(1, args.n_max + 1), args.r)
+    if not upper.valid:
+        raise ValidationError(f"hoeffding bound unavailable: {upper.reason}")
+    t_r, h_r = upper.parameters["t_r"], upper.parameters["hoeffding_distance"]
+    rows = [[n, value, t_r, h_r] for n, value in enumerate(upper.bound_value.tolist(), 1)]
     _write_csv(args.out, "hoeffding.csv", "n,upper,t_r,H_r", rows)
     return 0
 
@@ -231,16 +218,11 @@ def _cmd_chernoff(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = _state_pair(rho, sigma)
-    # -phi(0) does not depend on n
-    upper = mixed_upper(curve, 1, 0.0).mixed
-    upper_rate = upper.bound_value if upper.valid else None
-    exact = _exact_rates(lambda ns: quantum_mixed_error_exact(rho, sigma, ns, 0.0), rho.dim, args.n_max)
-
-    def row(n: int) -> list:
-        lower = quantum_chernoff_lower(rho, sigma, n)
-        return [n, upper_rate, lower.bound_value if lower.valid else None, exact[n - 1]]
-
-    rows = [row(n) for n in range(1, args.n_max + 1)]
+    ns = range(1, args.n_max + 1)
+    upper = mixed_upper(curve, ns, 0.0).mixed.bound_value.tolist()
+    exact = _exact_rates(lambda capped: quantum_mixed_error_exact(rho, sigma, capped, 0.0), rho.dim, args.n_max)
+    lower = quantum_chernoff_lower(rho, sigma, ns).bound_value.tolist()
+    rows = list(zip(ns, upper, lower, exact))
     _write_csv(
         args.out,
         "chernoff.csv",

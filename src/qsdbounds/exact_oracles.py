@@ -29,6 +29,7 @@ from .linalg import (
     _check_count,
     _check_eps,
     _check_letters,
+    _counts,
     _fsum,
     _mixed_weight,
     matrix_power_support,
@@ -231,9 +232,14 @@ def _pair_images(
         return [views[lam] for lam in lams]
 
 
-def _within_cap(d: int, n: int) -> bool:
-    """Whether the exact quantum oracles take n copies of a d-level pair: d^n <= DIM_CAP."""
-    return d**n <= DIM_CAP
+@functools.cache
+def _max_copies(d: int) -> int:
+    """The largest n the quantum oracles take for a d-level pair: max(d, 2)^n <= DIM_CAP. A
+    one-level pair is capped like a qubit pair, as a sweep still pays a block per n."""
+    n = 0
+    while max(d, 2) ** (n + 1) <= DIM_CAP:
+        n += 1
+    return n
 
 
 def _block_pair(
@@ -257,19 +263,14 @@ def _sweep_stacks(
     rho: DensityMatrix, sigma: DensityMatrix, n
 ) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
     """(ns, stacks): n as a list of counts, an int being a sweep of one, and the
-    `_stacks` of their blocks. Every n is checked, against the cap d^n <=
-    DIM_CAP too, before any block is built."""
+    `_stacks` of their blocks. Every n is checked by `_counts`, and against
+    `_max_copies`, before any block is built."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    counts = np.asarray(n, dtype=object)  # keeps each entry's type: True is not a count
-    if counts.ndim > 1:
-        raise ValidationError(f"n must be an integer or a 1-D sequence of integers, got shape {counts.shape}")
-    ns = counts.reshape(-1).tolist()
-    for k in ns:
-        _check_count(k)
-    ns = [int(k) for k in ns]
-    if ns and not _within_cap(rho.dim, max(ns)):
-        raise ResourceLimitError(f"product dimension {rho.dim}^{max(ns)} exceeds cap {DIM_CAP}")
+    counts = _counts(n)
+    ns = counts.tolist() if isinstance(counts, np.ndarray) else [int(counts)]
+    if ns and max(ns) > _max_copies(rho.dim):
+        raise ResourceLimitError(f"product dimension {max(rho.dim, 2)}^{max(ns)} exceeds cap {DIM_CAP}")
     return ns, _stacks([_block_pair(rho, sigma, k) for k in ns])
 
 

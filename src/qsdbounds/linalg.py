@@ -119,6 +119,22 @@ def _check_count(n, name: str = "n") -> None:
         raise ValidationError(f"need {name} >= 1, got {n}")
 
 
+def _counts(n):
+    """The copy counts of a bound or quantum oracle: an int n (see `_check_count`) as it
+    is, or a 1-D sequence of them as an int64 array; anything else raises ValidationError."""
+    if not isinstance(n, (int, np.integer)):
+        counts = np.asarray(n, dtype=object)  # keeps each entry's type: True is not a count
+        if counts.ndim > 1:
+            raise ValidationError(f"n must be an integer or a 1-D sequence of integers, got shape {counts.shape}")
+        if counts.ndim == 1:
+            ks = counts.tolist()
+            for k in ks:
+                _check_count(k)
+            return np.array(ks, dtype=np.int64)
+    _check_count(n)
+    return n
+
+
 def _check_letters(p, q) -> tuple[np.ndarray, np.ndarray]:
     """p and q as float64 vectors, required nonempty, of equal length, finite and nonnegative."""
     pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)

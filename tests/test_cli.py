@@ -145,6 +145,17 @@ def test_qutrit_exact_columns_fill_up_to_the_cap(tmp_path, qutrit_files, monkeyp
         assert exact[7] == "", name
 
 
+def test_one_level_exact_column_stops_at_the_qubit_cap(tmp_path):
+    # max(d, 2)^n <= 4096: a one-level pair is capped at n = 12 like a qubit pair,
+    # where e_n(0) = 1 at every n; rows 13..20 leave the exact cell empty
+    f = write_state(tmp_path / "one.json", DensityMatrix([[1.0]]))
+    out = tmp_path / "out"
+    assert main(["chernoff", "--rho", f, "--sigma", f, "--n-max", "20", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "chernoff.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(1, 21)]
+    assert [row[3] for row in rows] == ["0"] * 12 + [""] * 8
+
+
 def test_csv_round_trip_is_lossless(tmp_path, pair_files):
     rho_f, sig_f = pair_files
     out = tmp_path / "out"

@@ -30,6 +30,17 @@ from qsdbounds import (
     rate_curve,
 )
 from qsdbounds import exact_oracles
+from qsdbounds.divergences import _state_pair
+from qsdbounds.finite_bounds import (
+    classical_lower,
+    hoeffding_upper,
+    mixed_upper,
+    second_order_reference,
+    stein_lower,
+    stein_upper,
+    stein_upper_generic,
+    stein_upper_intermediate,
+)
 from qsdbounds.linalg import DIM_CAP
 
 from helpers import qubit_pairs, random_full_rank_state, random_unitary, tensor_power
@@ -453,6 +464,9 @@ def _sweep_cases():
                 yield pytest.param("beta_eps_exact", kind, d, n_max, eps, id=f"{kind}-d{d}-eps{eps}")
             for a in (0.0, 0.1):
                 yield pytest.param("quantum_mixed_error_exact", kind, d, n_cap, a, id=f"e_n-{kind}-d{d}-a{a}")
+    # the one-level pair [[1]], [[1]], capped like a qubit pair at n = 12
+    yield pytest.param("beta_eps_exact", "full_rank", 1, 12, 0.3, id="one_level-d1-eps0.3")
+    yield pytest.param("quantum_mixed_error_exact", "full_rank", 1, 12, 0.1, id="e_n-one_level-d1-a0.1")
 
 
 def _no_eigensolve(*args, **kwargs):
@@ -479,7 +493,7 @@ def test_beta_eps_sweep_matches_each_n_alone(oracle, kind, d, n_max, x, monkeypa
         want = _dense_np_bisection(rho, sigma, n, x)
         assert abs(got - want) <= 1e-9 * want, n
         assert abs(alone - want) <= 1e-9 * want, n
-    n_cap = next(n for n in range(1, 14) if d ** (n + 1) > DIM_CAP)
+    n_cap = next(n for n in range(1, 14) if max(d, 2) ** (n + 1) > DIM_CAP)
     rho, sigma = _cross_check_pair(kind, d)  # fresh states, with no block image built
     monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolve)
@@ -633,6 +647,17 @@ _ORACLES = {
     "beta_eps_exact": lambda rho, sigma, n: beta_eps_exact(rho, sigma, n, 0.1),
     "quantum_mixed_error_exact": lambda rho, sigma, n: quantum_mixed_error_exact(rho, sigma, n, 0.0),
     "np_test_errors": lambda rho, sigma, n: np_test_errors(rho, sigma, n, 0.0),
+    # the bounds read n by the same rule
+    "stein_upper_generic": lambda rho, sigma, n: stein_upper_generic(_state_pair(rho, sigma), n, 0.1, 0.5),
+    "stein_upper": lambda rho, sigma, n: stein_upper(_state_pair(rho, sigma), n, 0.1),
+    "stein_lower": lambda rho, sigma, n: stein_lower(_state_pair(rho, sigma), n, 0.1),
+    "stein_upper_intermediate": lambda rho, sigma, n: stein_upper_intermediate(_state_pair(rho, sigma), n, 0.1, 2.0),
+    "hoeffding_upper": lambda rho, sigma, n: hoeffding_upper(_state_pair(rho, sigma), n, 0.05),
+    "mixed_upper": lambda rho, sigma, n: mixed_upper(_state_pair(rho, sigma), n, 0.0),
+    "classical_lower": lambda rho, sigma, n: classical_lower(_state_pair(rho, sigma), n, 0.05),
+    "quantum_mixed_lower": lambda rho, sigma, n: quantum_mixed_lower(rho, sigma, n, 0.05),
+    "quantum_chernoff_lower": lambda rho, sigma, n: quantum_chernoff_lower(rho, sigma, n),
+    "second_order_reference": lambda rho, sigma, n: second_order_reference(_state_pair(rho, sigma), n, 0.1),
 }
 
 

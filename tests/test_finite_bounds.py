@@ -467,3 +467,83 @@ def test_concurrent_first_calls_agree_with_a_serial_sweep():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(repr(got) == repr(want) for got in results)
+
+
+@pytest.mark.parametrize("p,q,n", [([0.8, 0.2], [0.3, 0.7], 12), ([0.8, 0.2], [0.3, 0.7], 200),
+                                   ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], 72)],
+                         ids=["qubit-12", "qubit-200", "qutrit-72"])
+def test_quantum_lower_bounds_meet_the_hand_formula(p, q, n):
+    # -C (or -H_r) - 3(d^2 - 1)/2 log(n)/n + 1/(n(12n + 1)) - c/n, with the
+    # method-of-types constant c from the eigenvalues: a smaller c makes both
+    # bounds tighter, the unsafe direction, which the oracle checks cannot see
+    rho, sig = DensityMatrix(np.diag(p)), DensityMatrix(np.diag(q))
+    card = len(p) ** 2
+    c = (card - 1) * (1.0 + 2.0 * math.log(1.0 / min(p + q))) + 1.3
+    want = -1.5 * (card - 1) * math.log(n) / n + 1.0 / (n * (12.0 * n + 1.0)) - c / n
+    curve = build_psi(rho.spectral(), sig.spectral())
+    r = -0.5 * (psi(curve, 1.0) + psi(curve, 0.0) + psi_prime(curve, 0.0))
+    for arg in (n, [n]):
+        chern = quantum_chernoff_lower(rho, sig, arg)
+        mixed = quantum_mixed_lower(rho, sig, arg, r)
+        assert chern.valid and mixed.valid
+        for report, rate in ((chern, chern.parameters["chernoff"]), (mixed, mixed.parameters["hoeffding_distance"])):
+            assert report.parameters["c"] == pytest.approx(c, rel=1e-14)
+            assert float(np.squeeze(report.bound_value)) == pytest.approx(want - rate, rel=1e-12, abs=0.0)
+
+
+def _every_bound(curve, states=None) -> dict:
+    """Each bound on one pair as a function of n, at parameters where some n hold and some do not."""
+    r = a = 0.1
+    if not curve.orthogonal_supports:
+        lo, hi = divergences._t_r_window(curve)
+        r, a = (lo + hi) / 2.0, (psi_prime(curve, 0.0) + psi_prime(curve, 1.0)) / 2.0
+    calls = {
+        "stein_upper_generic": lambda n: stein_upper_generic(curve, n, 0.1, 0.5),
+        "stein_upper": lambda n: stein_upper(curve, n, 0.1),
+        "stein_upper_printed": lambda n: stein_upper(curve, n, 0.1, variant="as_printed"),
+        "stein_lower": lambda n: stein_lower(curve, n, 0.3),
+        "stein_upper_intermediate": lambda n: stein_upper_intermediate(curve, n, 1e-3, 1.05),
+        "hoeffding_upper": lambda n: hoeffding_upper(curve, n, r),
+        "mixed_upper": lambda n: mixed_upper(curve, n, a),
+        "classical_lower": lambda n: classical_lower(curve, n, r),
+        "second_order_reference": lambda n: second_order_reference(curve, n, 0.1),
+    }
+    if states is not None:
+        calls["quantum_mixed_lower"] = lambda n: quantum_mixed_lower(*states, n, r)
+        calls["quantum_chernoff_lower"] = lambda n: quantum_chernoff_lower(*states, n)
+    return calls
+
+
+def _sequence_cases():
+    from test_exact_oracles import CROSS_CHECK_KINDS, _cross_check_pair
+
+    for kind in CROSS_CHECK_KINDS:
+        yield pytest.param(lambda kind=kind: _cross_check_pair(kind), id=kind)
+    yield pytest.param(lambda: (HALF, HALF), id="identical_states")
+    classical = {"pair_a": PAIR_A, "identical": IDENTICAL, "broken_support": BROKEN_SUPPORT,
+                 "symmetric": psi_curve_from_probabilities([0.9, 0.1], [0.1, 0.9]),
+                 "three_letters": psi_curve_from_probabilities([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])}
+    for name, pair in classical.items():
+        yield pytest.param(lambda pair=pair: pair, id=name)
+
+
+@pytest.mark.parametrize("make", _sequence_cases())
+def test_a_sequence_of_n_gives_the_bits_of_each_n_alone(make):
+    made = make()
+    states = made if isinstance(made, tuple) else None
+    curve = divergences._state_pair(*states) if states else made
+    ns = np.random.default_rng(21).permutation([*range(1, 81), 600, 600, 80, 12, 1]).tolist()
+    for name, call in _every_bound(curve, states).items():
+        sweep = call(ns)
+        alone = [call(n) for n in ns]
+        for j, report in enumerate(sweep if isinstance(sweep, tuple) else (sweep,)):
+            singles = [one[j] if isinstance(one, tuple) else one for one in alone]
+            assert report.n.tolist() == ns, name
+            assert type(report.valid) is bool and report.valid == all(s.valid for s in singles), name
+            assert report.valid or report.reason, name
+            for got, single in zip(report.bound_value.tolist(), singles):
+                assert (single.quantity, single.side) == (report.quantity, report.side), name
+                if single.valid:
+                    assert np.float64(got).tobytes() == np.float64(single.bound_value).tobytes(), (name, single.n)
+                else:
+                    assert math.isnan(got), (name, single.n)
