@@ -22,7 +22,7 @@ import numpy as np
 from .classical_binary import BinaryPair, rate_curve
 from .divergences import _psi_moments_rows, _state_pair, profile_from_curve
 from .errors import QsdError, ResourceLimitError, ValidationError
-from .exact_oracles import _max_copies, beta_eps_exact, np_test_errors, quantum_mixed_error_exact
+from .exact_oracles import _max_copies, _oracle_errors, beta_eps_exact, quantum_mixed_error_exact
 from .finite_bounds import (
     STEIN_VARIANTS,
     hoeffding_upper,
@@ -32,7 +32,7 @@ from .finite_bounds import (
     stein_lower,
     stein_upper,
 )
-from .linalg import DIM_CAP, DensityMatrix
+from .linalg import DIM_CAP, DensityMatrix, _eigh
 
 _LN2 = math.log(2.0)
 
@@ -74,21 +74,26 @@ def parse_state_file(path: str) -> DensityMatrix:
     if herm_dev > 1e-9:
         raise ValidationError(f"state file {path}: not Hermitian, max deviation {herm_dev:.3e}")
     herm = (mat + mat.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    if float(w.min()) < -1e-9:
-        raise ValidationError(
-            f"state file {path}: negative eigenvalue {float(w.min()):.3e} beyond tolerance"
-        )
-    if float(w.min()) < 0.0:
-        w = np.clip(w, 0.0, None)
-        herm = (v * w) @ v.conj().T
-        herm = (herm + herm.conj().T) / 2.0
     trace = float(np.trace(herm).real)
+    # one eigendecomposition, of herm / trace, which the state keeps unless an eigenvalue
+    # is clamped (a trace too far from 1 to renormalize fails below)
+    scale = trace if abs(trace - 1.0) <= 1e-6 else 1.0
+    state = herm / scale
+    w, v = _eigh(state)
+    if float(w[0]) * scale < -1e-9:
+        raise ValidationError(
+            f"state file {path}: negative eigenvalue {float(w[0]) * scale:.3e} beyond tolerance"
+        )
+    clamped = float(w[0]) < 0.0
+    if clamped:  # a new matrix, which its state decomposes again
+        herm = (v * (np.clip(w, 0.0, None) * scale)) @ v.conj().T
+        herm = (herm + herm.conj().T) / 2.0
+        trace = float(np.trace(herm).real)
     if abs(trace - 1.0) > 1e-6:
         raise ValidationError(f"state file {path}: trace {trace!r} deviates from 1 beyond 1e-6")
     if abs(trace - 1.0) > 1e-9:
         print(f"warning: renormalizing {path}: trace was {trace!r}", file=sys.stderr)
-    return DensityMatrix(herm / trace)
+    return DensityMatrix(herm / trace) if clamped else DensityMatrix._decomposed(state, w, v)
 
 
 def _fmt(x) -> str:
@@ -118,16 +123,17 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     print(path)
 
 
-_CELL_FORMATS = {int: "%d", float: "%.17g"}
+_CELL_FORMATS = {int: "%d", float: "%.17g", type(None): "%.0s"}
 
 
 def _write_csv(out_dir: str, name: str, header: str, rows: list) -> None:
     """Write rows as CSV with the cells of `_fmt`.
 
-    A row of ints and floats is formatted by one %-template per sequence of
-    cell types, which writes the bytes `_fmt` writes for finite values; a
-    row holding another type, NaN or an infinity goes through `_fmt` cell
-    by cell.
+    A row of ints, floats and Nones is formatted by one %-template per
+    sequence of cell types, which writes the bytes `_fmt` writes: a None
+    cell is empty, an infinity reads "inf" or "-inf" either way, and a NaN
+    cell, "nan" in the template's line, is then emptied. A row holding
+    another type goes through `_fmt` cell by cell.
     """
     lines = [header]
     templates: dict[tuple, str | None] = {}
@@ -137,9 +143,9 @@ def _write_csv(out_dir: str, name: str, header: str, rows: list) -> None:
             cells = [_CELL_FORMATS.get(kind) for kind in kinds]
             templates[kinds] = None if None in cells else ",".join(cells)
         template = templates[kinds]
-        line = template % tuple(row) if template is not None else None
-        if line is None or "n" in line:  # "nan", "inf": only _fmt writes them right
-            line = ",".join(map(_fmt, row))
+        line = template % tuple(row) if template is not None else ",".join(map(_fmt, row))
+        if "nan" in line:  # a NaN cell of the template: _fmt writes it empty
+            line = ",".join("" if cell == "nan" else cell for cell in line.split(","))
         lines.append(line)
     _write_text(out_dir, name, "\n".join(lines) + "\n")
 
@@ -242,8 +248,7 @@ def _cmd_binary(args) -> int:
 def _cmd_oracle(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
-    mixed = quantum_mixed_error_exact(rho, sigma, args.n, args.a)
-    test = np_test_errors(rho, sigma, args.n, args.a)
+    mixed, test = _oracle_errors(rho, sigma, args.n, args.a)
     _write_json(
         args.out,
         "oracle.json",

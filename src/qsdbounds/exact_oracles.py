@@ -171,7 +171,7 @@ def _pair_stack(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     if rho.dim != 2:
         return pair
     if rho.array[0, 1] and sigma.array[0, 1]:
-        v = np.linalg.eigh(sigma.array)[1]
+        v = sigma.eigh[1]
         pair = v.conj().T @ pair @ v
     b = pair[0, 0, 1] + pair[1, 0, 1]
     if b:
@@ -182,29 +182,30 @@ def _pair_stack(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
 
 def _pair_images(
     rho: DensityMatrix, sigma: DensityMatrix, lams: tuple[Partition, ...]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(pi_lam(rho), pi_lam(sigma)) for each lam: the action of each n-th tensor power on each block.
+) -> tuple[list[float], list[np.ndarray]]:
+    """(dets, images): det rho, det sigma and the read-only stack (pi_lam(rho), pi_lam(sigma))
+    for each lam, the action of each n-th tensor power on each block.
 
     Both states go through every step as one (2, f, f) stack in the basis of
     `_pair_stack`. A diagram with d rows sheds its full columns: pi_lam(a) =
     det(a)^(lam_d) pi_(lam - lam_d)(a). Otherwise pi_lam(a) =
     W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so that every block is
-    exactly Hermitian. det is the product of the eigenvalues clamped at 0, so
-    rounding cannot make det^k of a rank-deficient state negative.
+    exactly Hermitian. det is the product of the state's eigh eigenvalues
+    clamped at 0, so rounding cannot make det^k of a rank-deficient state negative.
 
     The stack, both dets and every image built, the parents included, stay
-    in rho.pair_memo(sigma) with their per-state views, so an n-sweep builds
-    each image once. They are built and read under _IRREPS_LOCK: threads
-    get the same read-only arrays, whatever order they ask for n in.
+    in rho.pair_memo(sigma), so an n-sweep builds each image once. They are
+    built and read under _IRREPS_LOCK: threads get the same read-only
+    arrays, whatever order they ask for n in.
     """
     d = rho.dim
     with _IRREPS_LOCK:
         memo = rho.pair_memo(sigma)
         if "irreps" not in memo:
             pair = _pair_stack(rho, sigma)
-            dets = [max(float(np.prod(np.linalg.eigvalsh(x.array))), 0.0) for x in (rho, sigma)]
-            memo["irreps"] = (dets, {(): np.ones((2, 1, 1), pair.dtype), (1,): pair}, {})
-        dets, stacks, views = memo["irreps"]
+            dets = [max(float(np.prod(x.eigh[0])), 0.0) for x in (rho, sigma)]
+            memo["irreps"] = (dets, {(): np.ones((2, 1, 1), pair.dtype), (1,): pair})
+        dets, stacks = memo["irreps"]
         pair = stacks[(1,)]
 
         def image(lam: Partition) -> np.ndarray:
@@ -221,15 +222,11 @@ def _pair_images(
                     s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
                     s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
                     rep = (s + s.conj().swapaxes(1, 2)) / 2.0
+                rep.flags.writeable = False
                 stacks[lam] = rep
             return stacks[lam]
 
-        for lam in lams:
-            if lam not in views:
-                rep = image(lam)
-                rep.flags.writeable = False
-                views[lam] = (rep[0], rep[1])
-        return [views[lam] for lam in lams]
+        return dets, [image(lam) for lam in lams]
 
 
 @functools.cache
@@ -252,26 +249,84 @@ def _block_pair(
     A^(tensor n) acts on block lam as the GL(d) irrep pi_lam(A), repeated
     f^lam times (the number of standard Young tableaux of shape lam). For
     qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The blocks
-    are read-only arrays kept on the pair, real for every qubit pair (see
-    `_pair_images`). n is checked by `_sweep_stacks`.
+    are read-only views kept on the pair, real for every qubit pair (see
+    `_pair_images`); the oracles read the same blocks from `_sweep_stacks`.
     """
     lams, mults = _block_shapes(n, rho.dim)
-    return [(m, r, s) for m, (r, s) in zip(mults, _pair_images(rho, sigma, lams))]
+    views = rho.pair_memo(sigma).setdefault("views", {})
+    _, images = _pair_images(rho, sigma, lams)
+    return [(m, *views.setdefault(lam, (rep[0], rep[1]))) for m, lam, rep in zip(mults, lams, images)]
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(d: int, ns: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The stacks (owner, weight, bases, powers, index, pad) of the blocks of every n in ns.
+
+    Block b counts in column owner[b] of weight with its multiplicity and is
+    det^powers[b] times the image of its diagram less its full columns, one
+    of `bases`. Blocks of at most _PAD_MAX rows share one stack, padded with
+    R = 0 and S = I (lam R - S = -1 there: no test accepts it, R weighs 0);
+    each larger size has its own, as a stacked eigh costs about the cube of
+    the padded size. index[b] places block b in the base images laid end to
+    end, padding on the 0 after them; pad is S's padded diagonal. A stack of
+    one block has neither and reads its image whole.
+    """
+    groups: dict[int, list[tuple[int, int, Partition, int, int]]] = {}
+    for i, n in enumerate(ns):
+        for lam, m in zip(*_block_shapes(n, d)):
+            k = lam[-1] if len(lam) == d else 0
+            base = tuple(r - k for r in lam if r > k)
+            f = _basis(d, base)[0].shape[1] if base else 1
+            groups.setdefault(0 if f <= _PAD_MAX else f, []).append((i, m, base, k, f))
+    stacks = []
+    for group in groups.values():
+        owner, mult, bases, powers, sizes = zip(*group)
+        weight = np.zeros((len(group), len(ns)))
+        weight[range(len(group)), owner] = mult
+        size = dict(zip(bases, sizes))
+        bases, index, pad = tuple(size), None, None
+        if len(group) > 1:
+            offsets = np.cumsum([0] + [size[base] ** 2 for base in bases]).tolist()
+            start, rows = dict(zip(bases, offsets)), max(sizes)
+            index = np.full((len(group), rows, rows), offsets[-1])
+            for b, (_, _, base, _, f) in enumerate(group):
+                index[b, :f, :f] = np.arange(start[base], start[base] + f * f).reshape(f, f)
+            pad = np.nonzero(index[:, range(rows), range(rows)] == offsets[-1])
+        arrays = [np.array(owner), weight, np.array(powers), *((index, *pad) if pad else ())]
+        for array in arrays:
+            array.flags.writeable = False  # shared by every caller of the cache
+        stacks.append((arrays[0], weight, bases, arrays[2], index, pad))
+    return tuple(stacks)
 
 
 def _sweep_stacks(
     rho: DensityMatrix, sigma: DensityMatrix, n
 ) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
-    """(ns, stacks): n as a list of counts, an int being a sweep of one, and the
-    `_stacks` of their blocks. Every n is checked by `_counts`, and against
-    `_max_copies`, before any block is built."""
+    """(ns, stacks): n as a list of counts, an int being a sweep of one, and the stacks
+    (owner, weight, R, S) of `_layout`, each one gather from the base images of
+    `_pair_images` times det^k (a Python float power, as there). Every n is
+    checked by `_counts`, and against `_max_copies`, before any block is built."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     counts = _counts(n)
     ns = counts.tolist() if isinstance(counts, np.ndarray) else [int(counts)]
     if ns and max(ns) > _max_copies(rho.dim):
         raise ResourceLimitError(f"product dimension {max(rho.dim, 2)}^{max(ns)} exceeds cap {DIM_CAP}")
-    return ns, _stacks([_block_pair(rho, sigma, k) for k in ns])
+    stacks = []
+    for owner, weight, bases, powers, index, pad in _layout(rho.dim, tuple(ns)):
+        dets, images = _pair_images(rho, sigma, bases)
+        if index is None:
+            pair = images[0][:, None]
+        else:
+            flat = [image.reshape(2, -1) for image in images]
+            pair = np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1)[:, index]
+        if powers.any():
+            scale = np.array([[det**k for k in range(powers.max() + 1)] for det in dets])
+            pair = pair * scale[:, powers, None, None]
+        if pad is not None:
+            pair[1, pad[0], pad[1], pad[1]] = 1.0
+        stacks.append((owner, weight, pair[0], pair[1]))
+    return ns, stacks
 
 
 def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n, a: float):
@@ -280,7 +335,7 @@ def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n, a: fl
     It is the dual h of `_beta_eps_sweep` at eps = 0 and lam = kappa. n is
     an int, giving a float, or a 1-D sequence, giving a float64 array,
     checked and capped as in `beta_eps_exact`. The eigenvalues come from one
-    batched eigvalsh per stack of `_stacks`, where a padded row's is -1. The
+    batched eigvalsh per stack of `_sweep_stacks`, where a padded row's is -1. The
     difference cancels: its rounding error is about 1e-16 kappa, absolute.
     """
     ns, stacks = _sweep_stacks(rho, sigma, n)
@@ -299,51 +354,19 @@ class NPTestErrors(NamedTuple):
     degenerate_kernel: bool
 
 
-def _stacks(blocks_by_n: list[list[tuple[int, np.ndarray, np.ndarray]]]) -> list[tuple[np.ndarray, ...]]:
-    """The blocks of every n as stacks (owner, weight, R, S) of one batched eigensolve each.
-
-    owner[k] is the index of block k's n, and weight[k] holds its
-    multiplicity in that column. Blocks of at most _PAD_MAX rows share one
-    stack, padded to the largest of them with R = 0 and S = I: lam R - S is
-    -1 there, which no test accepts, and R puts no weight on it. Every larger
-    size has its own stack, since a stacked eigh costs about the cube of the
-    padded size. A group of one block keeps the stored image, without a copy.
-    """
-    groups: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for i, blocks in enumerate(blocks_by_n):
-        for m, r, s in blocks:
-            groups.setdefault(0 if r.shape[0] <= _PAD_MAX else r.shape[0], []).append((i, m, r, s))
-    stacks = []
-    for group in groups.values():
-        owner, mult, rs, ss = zip(*group)
-        weight = np.zeros((len(group), len(blocks_by_n)))
-        weight[range(len(group)), owner] = mult
-        if len(group) == 1:
-            stacks.append((np.array(owner), weight, rs[0][None], ss[0][None]))
-            continue
-        rows = max(r.shape[0] for r in rs)
-        r_stack = np.zeros((len(group), rows, rows), dtype=rs[0].dtype)
-        s_stack = np.zeros_like(r_stack)
-        s_stack[:, range(rows), range(rows)] = 1.0
-        for j, (r, s) in enumerate(zip(rs, ss)):
-            r_stack[j, : r.shape[0], : r.shape[0]] = r
-            s_stack[j, : s.shape[0], : s.shape[0]] = s
-        stacks.append((np.array(owner), weight, r_stack, s_stack))
-    return stacks
-
-
 def _np_round(
     stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """((alpha, beta), degenerate) per n of the projector test onto lam_n R - S above tol.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """((alpha, beta), degenerate, positive) per n of the projector test onto lam_n R - S above tol.
 
     One batched eigh per stack, over the blocks of every n with open_ set.
     alpha = Tr rho_n (I - T) sums the rejected eigenvectors and beta =
     Tr sigma_n T the accepted ones, each weighted by its block's
-    multiplicity; degenerate flags an eigenvalue within tol of zero. The
-    entries of n not open are 0.
+    multiplicity; degenerate flags an eigenvalue within tol of zero, and
+    positive is Tr(lam_n rho_n - sigma_n)_+, the sum of the eigenvalues
+    above 0. The entries of n not open are 0.
     """
-    errors, flags = np.zeros((2, lam.size)), np.zeros(lam.size)
+    errors, flags = np.zeros((3, lam.size)), np.zeros(lam.size)
     for owner, weight, r, s in stacks:
         keep = open_[owner]
         if not keep.all():
@@ -354,24 +377,32 @@ def _np_round(
         accept = w > tol
         alpha = np.where(accept, 0.0, np.einsum("kij,kij->kj", v.conj(), r @ v).real)
         beta = np.where(accept, np.einsum("kij,kij->kj", v.conj(), s @ v).real, 0.0)
-        errors += np.stack((alpha.sum(axis=1), beta.sum(axis=1))) @ weight
+        positive = np.where(w > 0.0, w, 0.0)
+        errors += np.stack((alpha.sum(axis=1), beta.sum(axis=1), positive.sum(axis=1))) @ weight
         flags += np.any(np.abs(w) <= tol, axis=1) @ weight
-    return np.clip(errors, 0.0, 1.0), flags > 0.0
+    return np.clip(errors[:2], 0.0, 1.0), flags > 0.0, errors[2]
+
+
+def _oracle_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> tuple[float, NPTestErrors]:
+    """(e_n(a), `np_test_errors`) at one n, from the one eigh per stack of one `_np_round`:
+    e_n = kappa - positive there, the value of `quantum_mixed_error_exact`."""
+    _check_count(n)
+    _, stacks = _sweep_stacks(rho, sigma, n)
+    kappa = _mixed_weight(n, a)
+    (alpha, beta), flag, positive = _np_round(stacks, np.array([kappa]), np.ones(1, bool), _KERNEL_TOL)
+    return kappa - float(positive[0]), NPTestErrors(float(alpha[0]), float(beta[0]), bool(flag[0]))
 
 
 def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> NPTestErrors:
     """Errors of the projector test onto the strictly positive part of exp(-n a) rho_n - sigma_n.
 
     alpha = Tr rho_n (I - T), beta = Tr sigma_n T, summed over the blocks of
-    `_block_pair` by `_np_round`, the kernel of `beta_eps_exact`'s rounds.
+    `_sweep_stacks` by `_np_round`, the kernel of `beta_eps_exact`'s rounds.
     Eigenvalues of a block within 1e-12 of zero are excluded from T and
     flagged, since any split of the kernel is optimal and the reported pair
     is then one choice among several.
     """
-    _check_count(n)
-    _, stacks = _sweep_stacks(rho, sigma, n)
-    (alpha, beta), flag = _np_round(stacks, np.array([_mixed_weight(n, a)]), np.ones(1, bool), _KERNEL_TOL)
-    return NPTestErrors(alpha=float(alpha[0]), beta=float(beta[0]), degenerate_kernel=bool(flag[0]))
+    return _oracle_errors(rho, sigma, n, a)[1]
 
 
 def _beta_eps_sweep(
@@ -410,7 +441,7 @@ def _beta_eps_sweep(
         # a closed n keeps its bracket, so its primal stays put
         lam = (hi[1] - lo[1]) / (lo[0] - hi[0])
         primal = np.minimum(primal, lo[1] + lam * (lo[0] - eps))
-        test, _ = _np_round(stacks, lam, open_, 0.0)
+        test, _, _ = _np_round(stacks, lam, open_, 0.0)
         dual = np.where(open_, np.maximum(dual, test[1] + lam * (test[0] - eps)), dual)
         open_ &= (primal - dual > _GAP_RTOL * primal) & (primal - dual < gap)
         gap = primal - dual

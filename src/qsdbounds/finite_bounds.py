@@ -56,6 +56,19 @@ class BoundReport:
     valid: bool = True
     reason: str = ""
 
+    def __eq__(self, other):
+        """As the dataclass compares, but with arrays (n, bound_value and the parameters
+        of a sequence of n) equal when their values are, NaN to NaN."""
+        return _same(vars(self), vars(other)) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same(v, y[k]) for k, v in x.items())
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y, equal_nan=True)
+    return x is y or x == y
+
 
 def _report(n, quantity: str, side: str, params: dict, value=math.nan, reason: str = "",
             n_min: float = 1) -> BoundReport:

@@ -42,7 +42,7 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
     exactly, |S - r| <= |t| + E. A row with |t| + E below half the gap
     between r and its neighbour towards 0 has S strictly nearer r than any
     other float: r is the exactly rounded sum, which is what fsum returns.
-    Every other row falls back to math.fsum,
+    An all-zero row sums to 0.0. Every other row falls back to math.fsum,
     which also gives its inf, nan or exception: a row near a rounding
     boundary, summing to 0 or to a subnormal, or with an entry not in
     [-2^1022 / n, 2^1022 / n] (non-finite, or large enough that fsum may
@@ -90,7 +90,8 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
         ok &= (a.max(axis=1) <= big) & (a.min(axis=1) >= -big)
     out[ok] = r[ok]
     for i in np.flatnonzero(~ok).tolist():
-        out[i] = math.fsum(a[i].tolist())
+        if a[i].any():  # an all-zero row stays 0.0, as fsum of zeros is
+            out[i] = math.fsum(a[i].tolist())
     return out
 
 
@@ -128,8 +129,9 @@ def _counts(n):
             raise ValidationError(f"n must be an integer or a 1-D sequence of integers, got shape {counts.shape}")
         if counts.ndim == 1:
             ks = counts.tolist()
-            for k in ks:
-                _check_count(k)
+            if set(map(type, ks)) - {int} or min(ks, default=1) < 1:  # else each is a count
+                for k in ks:  # the first entry that is not a count raises its message
+                    _check_count(k)
             return np.array(ks, dtype=np.int64)
     _check_count(n)
     return n
@@ -200,19 +202,23 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(arr)
 
 
-def eigh(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian array with eigenvalues grouped into distinct clusters.
-
-    Only the lower triangle of h is read. Raw eigenvalues whose consecutive
-    gap is at most DEFAULT_GROUP_TOL * max(1, ||H||) are merged into one
-    cluster; the cluster eigenvalue is their mean and its block holds the
-    corresponding eigenvectors.
-    """
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a Hermitian array, read-only, raising ConvergenceError if it fails."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    v.flags.writeable = False
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
+
+
+def _grouped(w: np.ndarray, v: np.ndarray) -> SpectralDecomposition:
+    """Eigenpairs (w ascending, v) with their eigenvalues grouped into distinct clusters.
+
+    Raw eigenvalues whose consecutive gap is at most DEFAULT_GROUP_TOL *
+    max(1, ||H||) are merged into one cluster; the cluster eigenvalue is
+    their mean and its block holds the corresponding eigenvectors.
+    """
     tol = DEFAULT_GROUP_TOL * max(1.0, float(np.max(np.abs(w))))
     edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
     clusters = list(zip(edges[:-1], edges[1:]))[::-1]
@@ -220,6 +226,11 @@ def eigh(h: np.ndarray) -> SpectralDecomposition:
         eigenvalues=tuple(float(np.mean(w[lo:hi])) for lo, hi in clusters),
         vectors=tuple(v[:, lo:hi] for lo, hi in clusters),
     )
+
+
+def eigh(h: np.ndarray) -> SpectralDecomposition:
+    """The `_grouped` eigendecomposition of a Hermitian array, of which only the lower triangle is read."""
+    return _grouped(*_eigh(h))
 
 
 def _support_size(dec: SpectralDecomposition) -> int:
@@ -297,13 +308,16 @@ class DensityMatrix:
     The one place where outside input is validated: entries must be finite
     and form a square matrix, which is stored symmetrized, (M + M^H) / 2, as
     a read-only complex128 array, so array[j, k] == conj(array[k, j]) holds
-    exactly afterwards. Since the array never changes, the state keeps its
-    spectral decomposition once computed, and `pair_memo` gives each partner
-    state a dict for results of the ordered pair that do not depend on n
-    (`exact_oracles` keeps the pair's Schur-Weyl block images there).
+    exactly afterwards. The state keeps the one eigendecomposition it is
+    validated with: eigh is (w, v) = np.linalg.eigh(array), read-only, which
+    `spectral` groups into clusters on first use and from which
+    `exact_oracles` reads det and sigma's eigenbasis.
+    `pair_memo` gives each partner state a dict for results of the ordered
+    pair that do not depend on n (`exact_oracles` keeps the pair's
+    Schur-Weyl block images there).
     """
 
-    __slots__ = ("array", "_spectral", "_pair_memos")
+    __slots__ = ("array", "eigh", "_spectral", "_pair_memos")
 
     array: np.ndarray
 
@@ -313,17 +327,25 @@ class DensityMatrix:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValidationError("state has a non-finite entry")
-        h = (a + a.conj().T) / 2.0
+        self._keep((a + a.conj().T) / 2.0)
+
+    @classmethod
+    def _decomposed(cls, h: np.ndarray, w: np.ndarray, v: np.ndarray) -> "DensityMatrix":
+        """The state of an exactly Hermitian complex array h, validated as the
+        constructor validates, keeping (w, v) = np.linalg.eigh(h), made by the caller."""
+        state = cls.__new__(cls)
+        state._keep(h, (w, v))
+        return state
+
+    def _keep(self, h: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         tr = _fsum(h.diagonal().real)
         if abs(tr - 1.0) > 1e-10:
             raise ValidationError(f"state trace must be 1 within 1e-10, got {tr!r}")
-        w = _eigvalsh(h)
-        if float(w.min()) < -1e-12 * max(1.0, float(w.max())):
-            raise ValidationError(f"state has a negative eigenvalue: {float(w.min())!r}")
-        h.flags.writeable = False
-        self.array = h
-        self._spectral = None
-        self._pair_memos = {}
+        w, v = _eigh(h) if pairs is None else pairs
+        if float(w[0]) < -1e-12 * max(1.0, float(w[-1])):
+            raise ValidationError(f"state has a negative eigenvalue: {float(w[0])!r}")
+        h.flags.writeable = w.flags.writeable = v.flags.writeable = False
+        self.array, self.eigh, self._spectral, self._pair_memos = h, (w, v), None, {}
 
     @property
     def dim(self) -> int:
@@ -331,7 +353,7 @@ class DensityMatrix:
 
     def spectral(self) -> SpectralDecomposition:
         if self._spectral is None:
-            self._spectral = eigh(self.array)
+            self._spectral = _grouped(*self.eigh)
         return self._spectral
 
     def pair_memo(self, other: "DensityMatrix") -> dict:

@@ -425,6 +425,51 @@ def test_chernoff_builds_one_pair_and_solves_its_search_once(tmp_path, pair_file
     assert float(rows[11][2]) <= float(rows[11][3])
 
 
+def test_a_request_decomposes_each_state_once(tmp_path, monkeypatch):
+    # one 2-D eigensolve per parsed state, plus chernoff's one of rho + sigma
+    rng = np.random.default_rng(22)
+    rho_f = write_state(tmp_path / "rho.json", random_full_rank_state(rng, 2))
+    sig_f = write_state(tmp_path / "sig.json", random_full_rank_state(rng, 2))
+    argvs = {
+        "chernoff": ["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "13", "--out", str(tmp_path)],
+        "oracle": ["oracle", "--rho", rho_f, "--sigma", sig_f, "--n", "12", "--out", str(tmp_path)],
+    }
+    for argv in argvs.values():  # builds the state-independent irrep bases first
+        assert main(argv) == 0
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.ndim(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    want = {"chernoff": [("eigh", 2), ("eigh", 2), ("eigvalsh", 2)], "oracle": [("eigh", 2), ("eigh", 2)]}
+    for command, argv in argvs.items():
+        calls.clear()
+        assert main(argv) == 0
+        assert [call for call in calls if call[1] == 2] == want[command], command
+
+
+def test_csv_cells_are_the_bytes_of_fmt(tmp_path):
+    rows = [
+        [1, None, math.nan, math.inf, -math.inf, -0.0, 0.1, 2**70],
+        [2, -math.nan, None, 5e-324, -3],
+        [3, 0.5, math.nan],  # one template, NaN in some of its rows only
+        [4, 0.25, 1.0],
+        [None, None],
+        [math.nan],
+        [True, 1.5],  # other types go through _fmt
+        [np.float64(0.25), np.nan, 7],
+    ]
+    cli._write_csv(str(tmp_path), "cells.csv", "h", rows)
+    want = "h\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    assert (tmp_path / "cells.csv").read_bytes() == want.encode()
+
+
 def test_divergences_runs_on_a_128_dim_state_pair(tmp_path):
     rng = np.random.default_rng(128)
     rho_f = write_state(tmp_path / "rho.json", random_full_rank_state(rng, 128, min_eval=1e-3))

@@ -386,11 +386,13 @@ def test_qubit_blocks_match_dense_qubit_tensor_powers(kind, d, n_max, monkeypatc
     # ids without a suffix are the qubit cases; -d3 and -d4 run the same check on qudits
     rho, sigma = _cross_check_pair(kind, d)
     blocked = {n: _oracle_values(rho, sigma, n) for n in range(1, n_max + 1)}
-    monkeypatch.setattr(
-        exact_oracles,
-        "_block_pair",
-        lambda r, s, n: [(1, tensor_power(r.array, n), tensor_power(s.array, n))],
-    )
+
+    def dense_stacks(r, s, n):  # one stack per n, holding its whole tensor powers
+        ns = [n] if np.ndim(n) == 0 else list(n)
+        return ns, [(np.array([i]), np.eye(len(ns))[[i]], tensor_power(r.array, k)[None],
+                     tensor_power(s.array, k)[None]) for i, k in enumerate(ns)]
+
+    monkeypatch.setattr(exact_oracles, "_sweep_stacks", dense_stacks)
     for n in range(1, n_max + 1):
         _assert_values_agree(blocked[n], _oracle_values(rho, sigma, n), compare_flag=True)
 
@@ -551,6 +553,40 @@ def test_blocks_carry_the_spectrum_of_the_tensor_power(d):
             got = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(r), m) for m, r, _ in blocks]))
             want = np.sort(tensor_power(np.diag(lam), n).diagonal().real)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
+def _copied_stacks(blocks_by_n):
+    """The stacks (owner, weight, R, S) built block by block from `_block_pair`:
+    the reference for the gathered stacks of `_sweep_stacks`."""
+    groups = {}
+    for i, blocks in enumerate(blocks_by_n):
+        for m, r, s in blocks:
+            groups.setdefault(0 if r.shape[0] <= exact_oracles._PAD_MAX else r.shape[0], []).append((i, m, r, s))
+    stacks = []
+    for group in groups.values():
+        rows = max(r.shape[0] for _, _, r, _ in group)
+        weight = np.zeros((len(group), len(blocks_by_n)))
+        r_stack = np.zeros((len(group), rows, rows), dtype=group[0][2].dtype)
+        s_stack = np.zeros_like(r_stack)
+        s_stack[:, range(rows), range(rows)] = 1.0
+        for j, (i, m, r, s) in enumerate(group):
+            weight[j, i] = m
+            r_stack[j, : r.shape[0], : r.shape[0]] = r
+            s_stack[j, : s.shape[0], : s.shape[0]] = s
+        stacks.append(([i for i, _, _, _ in group], weight, r_stack, s_stack))
+    return stacks
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_gathered_stacks_equal_the_blocks_copied_one_by_one(d):
+    rho, sigma = _spectrum_case(d)
+    for ns in (list(range(1, exact_oracles._max_copies(d) + 1)), [3, 1, 3], [exact_oracles._max_copies(d)]):
+        got_ns, got = exact_oracles._sweep_stacks(rho, sigma, ns)
+        want = _copied_stacks([exact_oracles._block_pair(rho, sigma, n) for n in ns])
+        assert got_ns == ns and len(got) == len(want)
+        for (owner, weight, r, s), (want_owner, want_weight, want_r, want_s) in zip(got, want):
+            assert owner.tolist() == want_owner and np.array_equal(weight, want_weight)
+            assert r.dtype == want_r.dtype and np.array_equal(r, want_r) and np.array_equal(s, want_s)
 
 
 def test_irrep_cache_builds_each_basis_once_for_concurrent_callers(monkeypatch):

@@ -350,7 +350,7 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
     # fresh states: their memos must not have been filled by another test
     rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
     sig = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
-    counts = {"bisect": 0, "eigh": 0, "table": 0}
+    counts = {"bisect": 0, "eigh": 0, "grouped": 0, "table": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -360,7 +360,8 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(divergences, "bisect_decreasing", counting("bisect", divergences.bisect_decreasing))
-    monkeypatch.setattr(linalg, "eigh", counting("eigh", linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(linalg, "_grouped", counting("grouped", linalg._grouped))
     monkeypatch.setattr(divergences, "support_overlap_table",
                         counting("table", divergences.support_overlap_table))
     curve = divergences._state_pair(rho, sig)
@@ -372,10 +373,12 @@ def test_an_n_sweep_pays_each_search_once(monkeypatch):
         for n in range(1, 81)
     ]
     assert all(rep.valid for row in sweep[11:] for rep in row)
-    # one joint-support table per state pair, and one bisection per r or a on
-    # its pair: t_r (shared by hoeffding_upper and quantum_mixed_lower), the
-    # conjugate point at a, and the conjugate point at 0
-    assert counts == {"bisect": 3, "eigh": 2, "table": 1}
+    # no eigensolve once the states exist (each keeps the eigh it was validated
+    # with), its clusters grouped once per state, one joint-support table per
+    # state pair, and one bisection per r or a on its pair: t_r (shared by
+    # hoeffding_upper and quantum_mixed_lower), the conjugate point at a, and
+    # the conjugate point at 0
+    assert counts == {"bisect": 3, "eigh": 0, "grouped": 2, "table": 1}
     # the quantum bounds read the same pair at every n, and the pair keeps
     # psi at t_r and at the conjugate points, and the window of t_r
     assert rho.pair_memo(sig)["pair"] is curve
@@ -547,3 +550,21 @@ def test_a_sequence_of_n_gives_the_bits_of_each_n_alone(make):
                     assert np.float64(got).tobytes() == np.float64(single.bound_value).tobytes(), (name, single.n)
                 else:
                     assert math.isnan(got), (name, single.n)
+
+
+def test_reports_over_a_sequence_of_n_compare_by_value():
+    # the dataclass == raised on two array reports; NaN marks the same invalid n in both
+    ns = [1, 5, 400]
+    first, again = classical_lower(PAIR_A, ns, 0.05), classical_lower(PAIR_A, ns, 0.05)
+    assert np.isnan(first.alpha.bound_value[0])
+    assert first == again and first.alpha == again.alpha and not first.alpha != again.alpha
+    assert first.alpha != classical_lower(PAIR_A, [1, 5, 401], 0.05).alpha
+    assert first.alpha != classical_lower(PAIR_A, ns, 0.06).alpha
+    assert first.alpha != first.beta
+    lower = stein_lower(PAIR_A, ns, 0.1)
+    assert lower == stein_lower(PAIR_A, ns, 0.1) and lower != stein_lower(PAIR_A, 400, 0.1)
+    # scalar reports compare as before, their NaN being the one math.nan
+    assert stein_lower(PAIR_A, 3, 0.1) == stein_lower(PAIR_A, 3, 0.1)
+    assert classical_lower(PAIR_A, 1, 0.05).alpha == classical_lower(PAIR_A, 1, 0.05).alpha
+    assert stein_lower(PAIR_A, 3, 0.1) != stein_lower(PAIR_A, 4, 0.1)
+    assert (stein_lower(PAIR_A, 3, 0.1) == "report") is False

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsdbounds import DensityMatrix, ResourceLimitError, ValidationError
 from qsdbounds.linalg import (
+    _counts,
     _fsum_rows,
     eigh,
     kron,
@@ -238,3 +239,36 @@ def test_fsum_rows_is_math_fsum_of_each_row(rows):
                 _fsum_rows(table)
             return
     assert [repr(x) for x in _fsum_rows(table).tolist()] == want
+
+
+def test_fsum_rows_sums_all_zero_rows_without_math_fsum(monkeypatch):
+    def refuse(values):
+        raise AssertionError("math.fsum called")
+
+    monkeypatch.setattr(math, "fsum", refuse)
+    out = _fsum_rows(np.array([np.zeros(600_000), np.full(600_000, -0.0)]))
+    assert [math.copysign(1.0, x) for x in out.tolist()] == [1.0, 1.0]
+    assert out.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n,message", [
+    ([1, True, 3], "n must be an integer, got True"),
+    ([1, np.True_], f"n must be an integer, got {np.True_!r}"),
+    ([2.0, 1], "n must be an integer, got 2.0"),
+    ([1, [2]], "n must be an integer, got [2]"),
+    ([[1, 2], [3, 4]], "n must be an integer or a 1-D sequence of integers, got shape (2, 2)"),
+    ([3, 0, -1], "need n >= 1, got 0"),
+    ([np.int64(2), np.int64(-4)], "need n >= 1, got -4"),
+    (2.0, "n must be an integer, got 2.0"),
+    (np.True_, f"n must be an integer, got {np.True_!r}"),
+])
+def test_counts_rejects_the_first_non_count_with_its_message(n, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _counts(n)
+
+
+def test_counts_reads_a_sequence_as_int64():
+    for n in ([3, 1, 2], range(1, 4), np.arange(1, 4), [np.int64(1), np.uint8(2), 3], ()):
+        got = _counts(n)
+        assert got.dtype == np.int64 and got.tolist() == list(n)
+    assert _counts(5) == 5 and _counts(np.int32(5)) == 5
