@@ -18,10 +18,13 @@ import numpy as np
 
 from .divergences import _logsumexp_rows, chernoff_distance, psi_curve_from_probabilities
 from .errors import DegeneracyError, ValidationError
-from .linalg import _check_count, _check_threshold, _mixed_weight
+from .linalg import _check_count, _check_threshold, _mixed_weight, _sum2_rows
 from .ns_mapping import _log_factorials
 
 _ROW_BLOCK = 64  # rows of n per log-domain table of e_n
+_WINDOW_NATS = 50.0  # least depth below its peak that a row's window of terms reaches, in nats
+_EDGE_MARGIN = 2.0  # factor on a window's edge term that bounds every term left out past it
+_WINDOW_MAX_LOG = 2.0**40  # largest n (|a| + max |log p|, |log q|...) + log n! of a windowed row
 
 
 @dataclass(frozen=True)
@@ -39,27 +42,96 @@ class BinaryPair:
             object.__setattr__(self, "q", 1.0 - self.q)
 
 
+def _peak_counts(bp: BinaryPair, a: float, n: np.ndarray) -> np.ndarray:
+    """The count k nearest each row's largest term: the crossover n s, clipped
+    to the modes n p <= n q of the two likelihoods (n p where s is undefined).
+
+    Below the crossover the term is the alternative's, which rises up to n q;
+    above it the null's, which falls from n p on.
+    """
+    try:
+        peak = np.clip(n * _crossover_s(bp, a), n * bp.p, n * bp.q)
+    except DegeneracyError:
+        peak = n * bp.p
+    return np.rint(peak).astype(np.int64)
+
+
 def _en_exact_log_range(bp: BinaryPair, a: float, first: int, last: int) -> np.ndarray:
     """log e_n(a) for n = first..last, accumulated in the log domain term by term.
 
-    The terms log C(n,k) + min(null, alt) fill a table of _ROW_BLOCK rows
-    of n at a time, with -inf past k = n, and each row is summed by
-    `_logsumexp_rows`.
+    Row n has the terms t_k = log C(n,k) + min(null, alt), k = 0..n, and
+    log e_n is the row maximum m plus the log of the exactly rounded sum of
+    exp(t_k - m), as `_logsumexp_rows` takes it. Both log likelihoods are
+    concave in k with second difference at most -4/(n+2), so t is too, and
+    a term j steps from the peak lies at least 2 j (j - 1) / (n + 2) nats
+    below it. So each block of _ROW_BLOCK rows sums every row over one
+    window of 2h + 1 counts around its peak (`_peak_counts`), moved inside
+    0..n, with h^2 >= _WINDOW_NATS (n + 2) / 2 at the block's largest n:
+    O(sqrt n) terms a row, O(n^(3/2)) work for the range.
+
+    The window's terms are the full row's floats, computed operation for
+    operation as there. The terms left out past each open edge are each
+    bounded by the edge term times _EDGE_MARGIN, and `linalg._sum2_rows`
+    takes the bound on their sum as its slack. It certifies a row only if
+    each open edge term is below 2^-54 w times the peak, w the window's
+    length; the computed terms lie within 0.01 nats of a concave sequence
+    (while the row's log scale, n (|a| + the largest |log| of p, 1 - p, q,
+    1 - q) + log n!, is at most _WINDOW_MAX_LOG), so the terms fall away
+    past the edges, m is the full row's maximum, and the certified sum is
+    the full row's. A row whose peak sits on an open edge never certifies.
+    A row that does not certify, a row no longer than its window and a row
+    above the log scale are summed whole by `_logsumexp_rows`, -inf past
+    k = n: the same terms over k = 0..n.
     """
     lp, l1p = math.log(bp.p), math.log1p(-bp.p)
     lq, l1q = math.log(bp.q), math.log1p(-bp.q)
     lg = _log_factorials(last)
-    blocks = []
-    for start in range(first, last + 1, _ROW_BLOCK):
-        n = np.arange(start, min(start + _ROW_BLOCK, last + 1))[:, None]
-        k = np.arange(n[-1, 0] + 1)
-        inside = k <= n
-        nk = np.where(inside, n - k, 0)
-        log_comb = lg[n] - lg[k] - lg[nk]
-        null = -n * a + log_comb + k * lp + nk * l1p
-        alt = log_comb + k * lq + nk * l1q
-        blocks.append(_logsumexp_rows(np.where(inside, np.minimum(null, alt), -math.inf)))
-    return np.concatenate(blocks) - math.log(2.0)
+
+    def terms(n, k):
+        """t_k for a (counts, rows) table k of counts at most each row's n."""
+        nk = n - k
+        log_comb = lg[n] - lg[k]
+        log_comb -= lg[nk]
+        k, nk = k.astype(np.float64), nk.astype(np.float64)  # exactly as int * float converts them
+        null = -n * a + log_comb
+        null += k * lp
+        null += nk * l1p
+        alt = log_comb  # in place, as null no longer reads it
+        alt += k * lq
+        alt += nk * l1q
+        return np.minimum(null, alt, out=alt)
+
+    def whole_rows(n):
+        k = np.arange(n.max() + 1)[:, None]
+        return _logsumexp_rows(np.where(k <= n, terms(n, np.minimum(k, n)), -math.inf).T)
+
+    ns = np.arange(first, last + 1)
+    peaks = _peak_counts(bp, a, ns)
+    log_scale = ns * (abs(a) + max(-lp, -l1p, -lq, -l1q)) + lg[ns]
+    out = np.empty(ns.size)
+    for start in range(0, ns.size, _ROW_BLOCK):
+        rows = np.arange(start, min(start + _ROW_BLOCK, ns.size))
+        h = math.ceil(math.sqrt(_WINDOW_NATS * (ns[rows[-1]] + 2) / 2.0)) + 1
+        width = 2 * h + 1
+        windowed = (ns[rows] >= width) & (log_scale[rows] <= _WINDOW_MAX_LOG)
+        whole = rows[~windowed]
+        if windowed.any():
+            rows = rows[windowed]
+            n = ns[rows]
+            lo = np.clip(peaks[rows] - h, 0, n + 1 - width)
+            e = terms(n, lo + np.arange(width)[:, None])
+            m = e.max(axis=0)
+            e -= m
+            np.exp(e, out=e)
+            # floored at the least normal float, as a left-out term may round to a larger subnormal
+            edges = np.maximum(e[[0, -1]], 2.0**-1022)
+            slack = lo * edges[0] + (n + 1 - width - lo) * edges[1]
+            sums, ok = _sum2_rows(e.T, _EDGE_MARGIN * slack)
+            out[rows[ok]] = m[ok] + [math.log(x) for x in sums[ok].tolist()]
+            whole = np.concatenate([whole, rows[~ok]])
+        if whole.size:
+            out[whole] = whole_rows(ns[whole])
+    return out - math.log(2.0)
 
 
 def en_exact_log(bp: BinaryPair, n: int, a: float) -> float:
@@ -81,6 +153,8 @@ def _crossover_s(bp: BinaryPair, a: float) -> float:
         raise DegeneracyError("p = q: the likelihood ratio is constant")
     num = math.log1p(-bp.p) - math.log1p(-bp.q) - a
     den = math.log(bp.q) - math.log(bp.p) + math.log1p(-bp.p) - math.log1p(-bp.q)
+    if den == 0.0:
+        raise DegeneracyError(f"p = {bp.p!r} and q = {bp.q!r}: the log likelihood ratio per draw rounds to 0")
     return num / den
 
 

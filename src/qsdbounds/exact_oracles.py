@@ -355,18 +355,18 @@ class NPTestErrors(NamedTuple):
 
 
 def _np_round(
-    stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """((alpha, beta), degenerate, positive) per n of the projector test onto lam_n R - S above tol.
+    stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float, positive: bool = False
+) -> tuple[np.ndarray, ...]:
+    """((alpha, beta), degenerate) per n of the projector test onto lam_n R - S above tol,
+    and with positive also Tr(lam_n rho_n - sigma_n)_+, the sum of the eigenvalues above 0.
 
     One batched eigh per stack, over the blocks of every n with open_ set.
     alpha = Tr rho_n (I - T) sums the rejected eigenvectors and beta =
     Tr sigma_n T the accepted ones, each weighted by its block's
-    multiplicity; degenerate flags an eigenvalue within tol of zero, and
-    positive is Tr(lam_n rho_n - sigma_n)_+, the sum of the eigenvalues
-    above 0. The entries of n not open are 0.
+    multiplicity; degenerate flags an eigenvalue within tol of zero. The
+    entries of n not open are 0.
     """
-    errors, flags = np.zeros((3, lam.size)), np.zeros(lam.size)
+    errors, flags = np.zeros((2 + positive, lam.size)), np.zeros(lam.size)
     for owner, weight, r, s in stacks:
         keep = open_[owner]
         if not keep.all():
@@ -377,10 +377,12 @@ def _np_round(
         accept = w > tol
         alpha = np.where(accept, 0.0, np.einsum("kij,kij->kj", v.conj(), r @ v).real)
         beta = np.where(accept, np.einsum("kij,kij->kj", v.conj(), s @ v).real, 0.0)
-        positive = np.where(w > 0.0, w, 0.0)
-        errors += np.stack((alpha.sum(axis=1), beta.sum(axis=1), positive.sum(axis=1))) @ weight
+        sums = [alpha.sum(axis=1), beta.sum(axis=1)]
+        if positive:
+            sums.append(np.where(w > 0.0, w, 0.0).sum(axis=1))
+        errors += np.stack(sums) @ weight
         flags += np.any(np.abs(w) <= tol, axis=1) @ weight
-    return np.clip(errors[:2], 0.0, 1.0), flags > 0.0, errors[2]
+    return (np.clip(errors[:2], 0.0, 1.0), flags > 0.0, *errors[2:])
 
 
 def _oracle_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> tuple[float, NPTestErrors]:
@@ -389,7 +391,7 @@ def _oracle_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -
     _check_count(n)
     _, stacks = _sweep_stacks(rho, sigma, n)
     kappa = _mixed_weight(n, a)
-    (alpha, beta), flag, positive = _np_round(stacks, np.array([kappa]), np.ones(1, bool), _KERNEL_TOL)
+    (alpha, beta), flag, positive = _np_round(stacks, np.array([kappa]), np.ones(1, bool), _KERNEL_TOL, positive=True)
     return kappa - float(positive[0]), NPTestErrors(float(alpha[0]), float(beta[0]), bool(flag[0]))
 
 
@@ -441,7 +443,7 @@ def _beta_eps_sweep(
         # a closed n keeps its bracket, so its primal stays put
         lam = (hi[1] - lo[1]) / (lo[0] - hi[0])
         primal = np.minimum(primal, lo[1] + lam * (lo[0] - eps))
-        test, _, _ = _np_round(stacks, lam, open_, 0.0)
+        test, _ = _np_round(stacks, lam, open_, 0.0)
         dual = np.where(open_, np.maximum(dual, test[1] + lam * (test[0] - eps)), dual)
         open_ &= (primal - dual > _GAP_RTOL * primal) & (primal - dual < gap)
         gap = primal - dual

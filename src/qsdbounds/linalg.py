@@ -27,8 +27,10 @@ WEIGHT_CUTOFF = 1e-12  # overlaps Tr P_i Q_j at most this leave the joint suppor
 _FSUM_TREE_MIN = 4096  # shortest 1-D array that `_fsum` sums by `_fsum_rows`, not math.fsum
 
 
-def _fsum_rows(a: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D float array, bit for bit, without Python floats.
+def _sum2_rows(a: np.ndarray, slack=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(r, certified) for a 2-D float array: r[i] approximates the sum of row
+    i, and where certified[i] is set, r[i] is the float nearest to that exact
+    sum plus any amount within slack[i] of 0, found without Python floats.
 
     Each row is summed by a pairwise TwoSum cascade, vectorised over the
     rows: a level adds the first half of the columns to the second and
@@ -42,21 +44,18 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
     exactly, |S - r| <= |t| + E. A row with |t| + E below half the gap
     between r and its neighbour towards 0 has S strictly nearer r than any
     other float: r is the exactly rounded sum, which is what fsum returns.
-    An all-zero row sums to 0.0. Every other row falls back to math.fsum,
-    which also gives its inf, nan or exception: a row near a rounding
-    boundary, summing to 0 or to a subnormal, or with an entry not in
-    [-2^1022 / n, 2^1022 / n] (non-finite, or large enough that fsum may
-    overflow an intermediate sum).
-
-    On the 64 x 601 log-domain terms of e_n (1 down to 1e-300) it takes
-    0.35 ms, against 2.2 ms for sorting each row and calling fsum, with no
-    fallback (2-core Xeon).
+    A nonnegative slack (a scalar or one per row) widens the certificate to
+    |t| + E + slack, so r is also the exactly rounded value of S + x for
+    every |x| <= slack: the slack of a row can bound terms left out of it.
+    A row is not certified when it is near a rounding boundary, sums to 0
+    or to a subnormal, or has an entry not in [-2^1022 / n, 2^1022 / n]
+    (non-finite, or large enough that fsum may overflow an intermediate
+    sum); its r is then only an approximation.
     """
     a = np.asarray(a, dtype=np.float64)
     rows, n = a.shape
-    out = np.zeros(rows)
     if rows == 0 or n == 0:
-        return out
+        return np.zeros(rows), np.ones(rows, dtype=bool)
     # columns as contiguous blocks, summed in place: level by level, the
     # partial sums stay at the front and each level's errors take the
     # places of the addends they replace, so s ends as [hi, errors...]
@@ -84,14 +83,27 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
         r = hi + lo
         z = r - hi
         bound += np.abs((hi - (r - z)) + (lo - z))
+        bound += slack
         mag = np.abs(r)
         big = 2.0**1022 / n  # below it no partial sum of fsum or of the cascade overflows
         ok = bound < (mag - np.nextafter(mag, 0.0)) * 0.5
         ok &= (a.max(axis=1) <= big) & (a.min(axis=1) >= -big)
-    out[ok] = r[ok]
+    return r, ok
+
+
+def _fsum_rows(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D float array, bit for bit: `_sum2_rows`
+    where it certifies a row, else math.fsum of the row, which also gives
+    its inf, nan or exception. An all-zero row sums to 0.0.
+
+    On the 64 x 601 log-domain terms of e_n (1 down to 1e-300) it takes
+    0.35 ms, against 2.2 ms for sorting each row and calling fsum, with no
+    fallback (2-core Xeon).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    out, ok = _sum2_rows(a)
     for i in np.flatnonzero(~ok).tolist():
-        if a[i].any():  # an all-zero row stays 0.0, as fsum of zeros is
-            out[i] = math.fsum(a[i].tolist())
+        out[i] = math.fsum(a[i].tolist()) if a[i].any() else 0.0  # fsum of zeros is 0.0
     return out
 
 

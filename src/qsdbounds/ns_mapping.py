@@ -23,6 +23,7 @@ from .errors import ResourceLimitError, ValidationError
 from .linalg import SpectralDecomposition, _check_count, _check_letters, _check_threshold
 
 MAX_TYPES = 2_000_000
+_TYPE_CHUNK = 16_384  # types per chunk of `_type_sums`, whose two work columns stay in cache
 
 
 def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:
@@ -97,13 +98,20 @@ def _type_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Each product c_i w_i is rounded before it is added, so exact ties such
     as c r - c r = 0 stay exact; a BLAS product may fuse the multiply and
-    the add and leave a one-ulp residue. No temporary is larger than one
-    float64 column of length T.
+    the add and leave a one-ulp residue. The types go in chunks of
+    _TYPE_CHUNK, and within a chunk each letter's counts are converted to
+    float64 once (exactly, as each product would convert them), so the work
+    takes two float64 columns of at most _TYPE_CHUNK besides the result.
     """
     out = np.zeros((weights.shape[1], counts.shape[0]))
-    for col, w in zip(counts.T, weights):
-        for row, x in zip(out, w):
-            row += col * x
+    buffers = np.empty((2, min(_TYPE_CHUNK, counts.shape[0])))
+    for start in range(0, counts.shape[0], _TYPE_CHUNK):
+        block = out[:, start : start + _TYPE_CHUNK]
+        col, part = buffers[:, : block.shape[1]]
+        for letter, w in zip(counts[start : start + _TYPE_CHUNK].T, weights):
+            col[...] = letter
+            for row, x in zip(block, w):
+                row += np.multiply(col, x, out=part)
     return out
 
 

@@ -19,6 +19,7 @@ from qsdbounds import (
     psi_curve_from_probabilities,
     rate_curve,
 )
+from qsdbounds import classical_binary
 from qsdbounds.classical_binary import _ROW_BLOCK, _crossover_s
 from qsdbounds.cli import main
 from qsdbounds.ns_mapping import ClassicalPair
@@ -259,6 +260,17 @@ def test_rate_curve_rejects_bad_n_max():
         rate_curve(BinaryPair(0.2, 0.6), 0.0, 0)
 
 
+def _reference_log_en(bp, a, n):
+    """log e_n(a) from all n + 1 terms of the row, summed by math.fsum."""
+    k = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) for j in k])
+    null = -n * a + log_comb + k * math.log(bp.p) + (n - k) * math.log1p(-bp.p)
+    alt = log_comb + k * math.log(bp.q) + (n - k) * math.log1p(-bp.q)
+    terms = np.minimum(null, alt)
+    m = float(np.max(terms))
+    return m + math.log(math.fsum(np.exp(terms - m).tolist())) - math.log(2.0)
+
+
 def _reference_rows(bp, a, n_max):
     """rate_curve rows computed one n at a time: the log-domain sum of e_n by
     math.fsum and four scalar betainc calls per n, NaN where an envelope is 0."""
@@ -270,13 +282,7 @@ def _reference_rows(bp, a, n_max):
         s = math.nan
     rows = []
     for n in range(1, n_max + 1):
-        k = np.arange(n + 1)
-        log_comb = np.array([math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0) for j in k])
-        null = -n * a + log_comb + k * math.log(bp.p) + (n - k) * math.log1p(-bp.p)
-        alt = log_comb + k * math.log(bp.q) + (n - k) * math.log1p(-bp.q)
-        terms = np.minimum(null, alt)
-        m = float(np.max(terms))
-        log_en = m + math.log(math.fsum(np.exp(terms - m).tolist())) - math.log(2.0)
+        log_en = _reference_log_en(bp, a, n)
         rate_lower = rate_upper = math.nan
         if 0.0 < s < 1.0:
             ns, nc, w = n * s, n - n * s, math.exp(-n * a)
@@ -310,3 +316,95 @@ def test_rate_curve_rows_equal_the_per_n_reference_bit_for_bit(p, q, same, a, n_
     for n in {1, n_max}:
         assert repr(-en_exact_log(bp, n, a) / n) == repr(want[n - 1][1])
 
+
+
+def _window_ends(p, q):
+    """The thresholds a at which the crossover s reaches 1 and 0: log(p/q) and log((1-p)/(1-q))."""
+    return math.log(p / q), math.log((1.0 - p) / (1.0 - q))
+
+
+@pytest.mark.parametrize(
+    "p,q,a",
+    [
+        (0.05, 0.3, 0.0),  # skewed
+        (0.39, 0.46, 0.0),  # near-equal
+        (0.001, 0.999, 0.0),  # extreme: the envelopes underflow
+        (0.3, 0.3, 0.0),  # p = q: no crossover
+        (0.2, 0.6, _window_ends(0.2, 0.6)[0] * (1.0 - 1e-3)),  # crossover near n
+        (0.2, 0.6, _window_ends(0.2, 0.6)[1] * (1.0 - 1e-3)),  # crossover near 0
+        (0.2, 0.6, _window_ends(0.2, 0.6)[1] * 1.2),  # outside: the peak is the mode n p
+        (0.23251575322437879, 0.2325157532243788, 0.0),  # adjacent floats: s is undefined
+    ],
+)
+def test_rate_curve_at_600_rows_equals_the_per_n_reference_bit_for_bit(p, q, a):
+    # each row past about n = 120 sums a window of its terms, certified or summed whole
+    bp = BinaryPair(p, q)
+    got = rate_curve(bp, a, 600)
+    want = _reference_rows(bp, a, 600)
+    assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in want]
+
+
+@pytest.mark.parametrize("p,q,a", [(0.2, 0.6, 0.0), (0.05, 0.3, 0.1), (0.001, 0.999, 0.0), (0.3, 0.3, 0.0)])
+def test_en_exact_log_at_2000_equals_the_per_n_reference(p, q, a):
+    bp = BinaryPair(p, q)
+    assert repr(en_exact_log(bp, 2000, a)) == repr(_reference_log_en(bp, a, 2000))
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap classical_binary.<name>, recording the shape of its first argument and its result."""
+    calls = []
+    original = getattr(classical_binary, name)
+
+    def counted(values, *args):
+        out = original(values, *args)
+        calls.append((values.shape, out))
+        return out
+
+    monkeypatch.setattr(classical_binary, name, counted)
+    return calls
+
+
+def test_rows_past_the_first_blocks_sum_certified_windows(monkeypatch):
+    windows = _count_calls(monkeypatch, "_sum2_rows")
+    whole = _count_calls(monkeypatch, "_logsumexp_rows")
+    bp = BinaryPair(0.2, 0.6)
+    got = classical_binary._en_exact_log_range(bp, 0.0, 1, 600)
+    assert repr(float(got[-1])) == repr(_reference_log_en(bp, 0.0, 600))
+    # every windowed row certifies, and the last block's window is under half its rows
+    assert all(ok.all() for _, (_, ok) in windows)
+    assert windows[-1][0][1] < 300
+    assert sum(shape[0] for shape, _ in windows) + sum(shape[0] for shape, _ in whole) == 600
+    assert sum(shape[0] for shape, _ in whole) < 150
+
+
+@pytest.mark.parametrize("name,value", [("_WINDOW_NATS", 1.0), ("_EDGE_MARGIN", 1e300)])
+def test_a_window_that_cannot_certify_falls_back_to_the_whole_row(monkeypatch, name, value):
+    # a window reaching 1 nat below its peak, or an edge bound past every gap:
+    # no row certifies, and each is summed whole with the same bits
+    monkeypatch.setattr(classical_binary, name, value)
+    windows = _count_calls(monkeypatch, "_sum2_rows")
+    bp = BinaryPair(0.2, 0.6)
+    got = rate_curve(bp, 0.05, 300)
+    assert windows and not any(ok.any() for _, (_, ok) in windows)
+    want = _reference_rows(bp, 0.05, 300)
+    assert [repr(row.rate_exact) for row in got] == [repr(row[1]) for row in want]
+
+
+def test_rows_above_the_window_log_scale_are_summed_whole(monkeypatch):
+    # with a = 1e10 the terms are near -n a, whose rounding the edge margin does not
+    # cover past a log scale of 2^40, from n = 110 on; the rows below are whole anyway
+    windows = _count_calls(monkeypatch, "_sum2_rows")
+    bp = BinaryPair(0.2, 0.6)
+    got = rate_curve(bp, 1e10, 300)
+    want = _reference_rows(bp, 1e10, 300)
+    assert [repr(row.rate_exact) for row in got] == [repr(row[1]) for row in want]
+    assert not windows
+
+
+def test_crossover_of_adjacent_floats_is_degenerate():
+    # their log likelihood ratio per draw rounds to 0, so s would divide by 0
+    bp = BinaryPair(0.23251575322437879, 0.2325157532243788)
+    with pytest.raises(DegeneracyError, match="rounds to 0"):
+        _crossover_s(bp, 0.0)
+    with pytest.raises(DegeneracyError):
+        en_bounds(bp, 3, 0.0)

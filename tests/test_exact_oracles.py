@@ -835,3 +835,17 @@ def test_np_test_of_a_pure_pair_keeps_the_exact_input_basis(n):
     fidelity = 0.05**n
     want = fidelity / (1.0 + math.sqrt(1.0 - fidelity))
     assert out.alpha + out.beta == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_np_round_sums_the_positive_part_only_when_asked():
+    # beta_eps_exact's rounds read alpha and beta only; CLI oracle also reads
+    # Tr(lam rho_n - sigma_n)_+, and alpha and beta are the same floats either way
+    rho, sigma = _cross_check_pair("full_rank")
+    _, stacks = exact_oracles._sweep_stacks(rho, sigma, [3, 5])
+    kappa = np.array([math.exp(-3 * 0.1), math.exp(5 * 0.05)])
+    plain = exact_oracles._np_round(stacks, kappa, np.ones(2, bool), 1e-12)
+    (alpha, beta), flags, positive = exact_oracles._np_round(stacks, kappa, np.ones(2, bool), 1e-12, positive=True)
+    assert len(plain) == 2
+    assert plain[0].tobytes() == np.stack((alpha, beta)).tobytes() and plain[1].tolist() == flags.tolist()
+    want = [quantum_mixed_error_exact(rho, sigma, 3, 0.1), quantum_mixed_error_exact(rho, sigma, 5, -0.05)]
+    assert (kappa - positive).tolist() == pytest.approx(want, rel=1e-10, abs=1e-15)

@@ -10,6 +10,7 @@ from qsdbounds import DensityMatrix, ResourceLimitError, ValidationError
 from qsdbounds.linalg import (
     _counts,
     _fsum_rows,
+    _sum2_rows,
     eigh,
     kron,
     matrix_power_support,
@@ -249,6 +250,20 @@ def test_fsum_rows_sums_all_zero_rows_without_math_fsum(monkeypatch):
     out = _fsum_rows(np.array([np.zeros(600_000), np.full(600_000, -0.0)]))
     assert [math.copysign(1.0, x) for x in out.tolist()] == [1.0, 1.0]
     assert out.tolist() == [0.0, 0.0]
+
+
+def test_sum2_rows_certifies_a_row_only_while_its_slack_is_under_half_the_gap():
+    # the row sums are 1 + 2^-60 + 2^-70 and 3 + 2^-55 + 2^-75, rounding to 1 and 3;
+    # the sums never change, only whether the slack still fits the certificate
+    table = np.array([[2.0**-70, 1.0, 2.0**-60], [2.0**-75, 2.0**-55, 3.0]])
+    want = [math.fsum(row) for row in table.tolist()]
+    half_gap = np.array([2.0**-54, 2.0**-52])  # to the next float towards 0
+    sums, ok = _sum2_rows(table)
+    assert sums.tolist() == want and ok.tolist() == [True, True]
+    for slack, certified in ((half_gap / 4.0, [True, True]), (half_gap, [False, False]),
+                             (np.array([0.0, 2.0 * half_gap[1]]), [True, False]), (1.0, [False, False])):
+        sums, ok = _sum2_rows(table, slack)
+        assert sums.tolist() == want and ok.tolist() == certified, slack
 
 
 @pytest.mark.parametrize("n,message", [

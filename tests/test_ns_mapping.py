@@ -15,7 +15,8 @@ from qsdbounds import (
     psi_curve_from_probabilities,
 )
 
-from qsdbounds.ns_mapping import _type_table
+from qsdbounds import ns_mapping
+from qsdbounds.ns_mapping import _type_sums, _type_table
 
 from helpers import brute_force_classical_errors, qubit_pairs
 
@@ -78,6 +79,20 @@ def test_type_table_is_the_stars_and_bars_enumeration(k):
         lg = [math.lgamma(j + 1.0) for j in range(n + 1)]
         want = [math.fsum([lg[n]] + [-lg[c] for c in row]) for row in counts.tolist()]
         np.testing.assert_allclose(log_coef, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [7, 455, 16_384])
+def test_type_sums_round_each_product_before_adding_it(monkeypatch, chunk):
+    # the sum of count times weight, one letter at a time, as int32 count * float64
+    # weight, in chunks of types that do not divide, divide or exceed the 455 types
+    monkeypatch.setattr(ns_mapping, "_TYPE_CHUNK", chunk)
+    counts, _ = _type_table(12, 4)
+    weights = np.column_stack((np.random.default_rng(5).normal(size=(4, 2)), [1.0, 0.0, 1.0, 0.0]))
+    want = np.zeros((3, counts.shape[0]))
+    for col, w in zip(counts.T, weights):
+        for row, x in zip(want, w):
+            row += col * x
+    assert _type_sums(counts, weights).tobytes() == want.tobytes()
 
 
 def test_classical_exact_errors_identical_distributions():
