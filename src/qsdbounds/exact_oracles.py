@@ -184,14 +184,14 @@ def _pair_images(
     rho: DensityMatrix, sigma: DensityMatrix, lams: tuple[Partition, ...]
 ) -> tuple[list[float], list[np.ndarray]]:
     """(dets, images): det rho, det sigma and the read-only stack (pi_lam(rho), pi_lam(sigma))
-    for each lam, the action of each n-th tensor power on each block.
+    for each lam of fewer than d rows, the action of each n-th tensor power on each block.
 
     Both states go through every step as one (2, f, f) stack in the basis of
-    `_pair_stack`. A diagram with d rows sheds its full columns: pi_lam(a) =
-    det(a)^(lam_d) pi_(lam - lam_d)(a). Otherwise pi_lam(a) =
-    W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so that every block is
-    exactly Hermitian. det is the product of the state's eigh eigenvalues
-    clamped at 0, so rounding cannot make det^k of a rank-deficient state negative.
+    `_pair_stack`: pi_lam(a) = W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so
+    that every block is exactly Hermitian. A diagram with d rows is det^k
+    times one of these (see `_layout`). det is the product of the state's
+    eigh eigenvalues clamped at 0, so rounding cannot make det^k of a
+    rank-deficient state negative.
 
     The stack, both dets and every image built, the parents included, stay
     in rho.pair_memo(sigma), so an n-sweep builds each image once. They are
@@ -203,25 +203,22 @@ def _pair_images(
         memo = rho.pair_memo(sigma)
         if "irreps" not in memo:
             pair = _pair_stack(rho, sigma)
+            one = np.ones((2, 1, 1), pair.dtype)
+            pair.flags.writeable = one.flags.writeable = False
             dets = [max(float(np.prod(x.eigh[0])), 0.0) for x in (rho, sigma)]
-            memo["irreps"] = (dets, {(): np.ones((2, 1, 1), pair.dtype), (1,): pair})
+            memo["irreps"] = (dets, {(): one, (1,): pair})
         dets, stacks = memo["irreps"]
         pair = stacks[(1,)]
 
         def image(lam: Partition) -> np.ndarray:
             if lam not in stacks:
-                if len(lam) == d:
-                    full = lam[-1]
-                    scale = np.array([det**full for det in dets])[:, None, None]
-                    rep = scale * image(tuple(r - full for r in lam if r > full))
-                else:
-                    w = _basis(d, lam)[0]
-                    rep_mu = image(_parent(lam)[0])
-                    k, f = rep_mu.shape[1], w.shape[1]
-                    # (pi_mu(a) (x) a) W without forming the Kronecker product
-                    s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
-                    s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
-                    rep = (s + s.conj().swapaxes(1, 2)) / 2.0
+                w = _basis(d, lam)[0]
+                rep_mu = image(_parent(lam)[0])
+                k, f = rep_mu.shape[1], w.shape[1]
+                # (pi_mu(a) (x) a) W without forming the Kronecker product
+                s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
+                s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
+                rep = (s + s.conj().swapaxes(1, 2)) / 2.0
                 rep.flags.writeable = False
                 stacks[lam] = rep
             return stacks[lam]
@@ -237,25 +234,6 @@ def _max_copies(d: int) -> int:
     while max(d, 2) ** (n + 1) <= DIM_CAP:
         n += 1
     return n
-
-
-def _block_pair(
-    rho: DensityMatrix, sigma: DensityMatrix, n: int
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """rho^(tensor n) and sigma^(tensor n) as blocks (multiplicity, R_lam, S_lam) of one basis.
-
-    Schur-Weyl duality splits (C^d)^(tensor n) into blocks, one for each
-    partition lam of n with at most d rows, that do not depend on the state:
-    A^(tensor n) acts on block lam as the GL(d) irrep pi_lam(A), repeated
-    f^lam times (the number of standard Young tableaux of shape lam). For
-    qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The blocks
-    are read-only views kept on the pair, real for every qubit pair (see
-    `_pair_images`); the oracles read the same blocks from `_sweep_stacks`.
-    """
-    lams, mults = _block_shapes(n, rho.dim)
-    views = rho.pair_memo(sigma).setdefault("views", {})
-    _, images = _pair_images(rho, sigma, lams)
-    return [(m, *views.setdefault(lam, (rep[0], rep[1]))) for m, lam, rep in zip(mults, lams, images)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -467,7 +445,7 @@ def beta_eps_exact(rho: DensityMatrix, sigma: DensityMatrix, n, eps: float):
         h(lam) = (1 - eps) lam - Tr(lam rho_n - sigma_n)_+ ,  lam >= 0,
 
     found by a cutting-plane search over Neyman-Pearson projector tests on
-    the blocks of `_block_pair`, for all n at once (see `_beta_eps_sweep`).
+    the stacked blocks of `_sweep_stacks`, for all n at once (see `_beta_eps_sweep`).
     Returns the dual value, the largest h found, clamped to [0, 1]. An n
     beyond the cap raises ResourceLimitError before any search starts.
     """

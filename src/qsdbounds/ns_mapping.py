@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +25,7 @@ from .errors import ResourceLimitError, ValidationError
 from .linalg import SpectralDecomposition, _check_count, _check_letters, _check_threshold
 
 MAX_TYPES = 2_000_000
+TYPE_CACHE_BYTES = 16 << 20  # bytes of type tables kept per process, least recently used out first
 _TYPE_CHUNK = 16_384  # types per chunk of `_type_sums`, whose two work columns stay in cache
 
 
@@ -56,7 +59,7 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _type_counts(n: int, k: int) -> np.ndarray:
-    """The (T, k) int32 counts of `_type_table`, grown one letter at a time.
+    """The (T, k) counts of `_type_table` as int32, grown one letter at a time.
 
     Stars and bars: each partial type with r draws left becomes r + 1 rows,
     giving the next letter 0..r in turn, and the last letter takes what
@@ -75,22 +78,51 @@ def _type_counts(n: int, k: int) -> np.ndarray:
     return np.column_stack(cols + [left])
 
 
+# (n, k) -> the read-only (counts, log_coef) of `_type_table`, least recently
+# used first, holding _type_bytes <= TYPE_CACHE_BYTES in all; both under the lock.
+_TYPE_TABLES: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_TYPE_TABLES_LOCK = threading.Lock()
+_type_bytes = 0
+
+
 def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All types of n draws from k letters, in lexicographic order.
 
-    Returns int32 counts of shape (T, k), T = C(n+k-1, k-1), and the log
-    multinomial coefficients log(n! / prod c_i!) of shape (T,). Raises
+    Returns read-only counts of shape (T, k), T = C(n+k-1, k-1), in the
+    narrowest unsigned dtype that holds n, and the log multinomial
+    coefficients log(n! / prod c_i!) of shape (T,). Raises
     ResourceLimitError when T exceeds MAX_TYPES.
+
+    The tables do not depend on the state, so each is kept for the process
+    while the tables kept fit in TYPE_CACHE_BYTES, the least recently used
+    going first; a table larger than that is built on every call. Tables are
+    built outside the lock, so threads racing on one key may each build it,
+    and all but the first stored copy are dropped.
     """
+    global _type_bytes
     total = math.comb(n + k - 1, k - 1)
     if total > MAX_TYPES:
         raise ResourceLimitError(f"type enumeration size {total} exceeds cap {MAX_TYPES}")
-    counts = _type_counts(n, k)
+    key = (n, k)
+    with _TYPE_TABLES_LOCK:
+        if key in _TYPE_TABLES:
+            _TYPE_TABLES.move_to_end(key)
+            return _TYPE_TABLES[key]
+    counts = _type_counts(n, k).astype(np.min_scalar_type(n))
     lg = _log_factorials(n)
     log_coef = np.full(total, lg[n])
     for col in counts.T:
         log_coef -= lg[col]
-    return counts, log_coef
+    counts.flags.writeable = log_coef.flags.writeable = False
+    size = counts.nbytes + log_coef.nbytes
+    with _TYPE_TABLES_LOCK:
+        if key not in _TYPE_TABLES and size <= TYPE_CACHE_BYTES:
+            _TYPE_TABLES[key] = (counts, log_coef)
+            _type_bytes += size
+            while _type_bytes > TYPE_CACHE_BYTES:
+                _, (old_counts, old_coef) = _TYPE_TABLES.popitem(last=False)
+                _type_bytes -= old_counts.nbytes + old_coef.nbytes
+        return _TYPE_TABLES.get(key, (counts, log_coef))
 
 
 def _type_sums(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from qsdbounds import DensityMatrix, ResourceLimitError
+from qsdbounds import DensityMatrix, ResourceLimitError, exact_oracles
 from qsdbounds.linalg import DIM_CAP, _check_count
 
 
@@ -21,6 +21,25 @@ def tensor_power(a: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, a)
     return out
+
+
+def block_pair(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """rho^(tensor n) and sigma^(tensor n) as blocks (multiplicity, R_lam, S_lam) of one basis,
+    one for each partition lam of n with at most d rows, in the order of `_block_shapes`.
+
+    Schur-Weyl duality: A^(tensor n) acts on block lam as the GL(d) irrep
+    pi_lam(A), repeated f^lam times. A diagram with k full columns is
+    det^k times the base image of lam less them, as `_sweep_stacks` builds
+    it; for qubits the blocks are det(A)^k Sym^(n-2k)(A), k = 0..n//2. The
+    reference the gathered stacks of the oracles are checked against.
+    """
+    d = rho.dim
+    blocks = []
+    for lam, m in zip(*exact_oracles._block_shapes(n, d)):
+        k = lam[-1] if len(lam) == d else 0
+        dets, (image,) = exact_oracles._pair_images(rho, sigma, (tuple(r - k for r in lam if r > k),))
+        blocks.append((m, *(image[i] * dets[i] ** k if k else image[i] for i in range(2))))
+    return blocks
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -43,7 +43,7 @@ from qsdbounds.finite_bounds import (
 )
 from qsdbounds.linalg import DIM_CAP
 
-from helpers import qubit_pairs, random_full_rank_state, random_unitary, tensor_power
+from helpers import block_pair, qubit_pairs, random_full_rank_state, random_unitary, tensor_power
 
 ZERO = DensityMatrix(np.diag([1.0, 0.0]))
 ONE = DensityMatrix(np.diag([0.0, 1.0]))
@@ -543,7 +543,7 @@ def test_blocks_carry_the_spectrum_of_the_tensor_power(d):
     for n in range(1, 13):
         if d**n > DIM_CAP:
             break
-        blocks = exact_oracles._block_pair(rho, sigma, n)
+        blocks = block_pair(rho, sigma, n)
         if d == 2:
             assert len(blocks) == n // 2 + 1
         assert sum(m * r.shape[0] for m, r, _ in blocks) == d**n
@@ -556,7 +556,7 @@ def test_blocks_carry_the_spectrum_of_the_tensor_power(d):
 
 
 def _copied_stacks(blocks_by_n):
-    """The stacks (owner, weight, R, S) built block by block from `_block_pair`:
+    """The stacks (owner, weight, R, S) built block by block from `block_pair`:
     the reference for the gathered stacks of `_sweep_stacks`."""
     groups = {}
     for i, blocks in enumerate(blocks_by_n):
@@ -582,7 +582,7 @@ def test_gathered_stacks_equal_the_blocks_copied_one_by_one(d):
     rho, sigma = _spectrum_case(d)
     for ns in (list(range(1, exact_oracles._max_copies(d) + 1)), [3, 1, 3], [exact_oracles._max_copies(d)]):
         got_ns, got = exact_oracles._sweep_stacks(rho, sigma, ns)
-        want = _copied_stacks([exact_oracles._block_pair(rho, sigma, n) for n in ns])
+        want = _copied_stacks([block_pair(rho, sigma, n) for n in ns])
         assert got_ns == ns and len(got) == len(want)
         for (owner, weight, r, s), (want_owner, want_weight, want_r, want_s) in zip(got, want):
             assert owner.tolist() == want_owner and np.array_equal(weight, want_weight)
@@ -605,7 +605,7 @@ def test_irrep_cache_builds_each_basis_once_for_concurrent_callers(monkeypatch):
 
     def worker(i):
         start.wait(timeout=30)
-        results[i] = exact_oracles._block_pair(rho, sigma, 6)
+        results[i] = block_pair(rho, sigma, 6)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -633,7 +633,7 @@ def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
         return random_full_rank_state(rng, 3), random_full_rank_state(rng, 3)
 
     rho, sigma = states()
-    want = {n: exact_oracles._block_pair(*states(), n) for n in range(1, 7)}
+    want = {n: block_pair(*states(), n) for n in range(1, 7)}
     start = threading.Barrier(8)
     results: list = [None] * 8
     errors: list = []
@@ -642,7 +642,7 @@ def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
         order = np.random.default_rng(i).permutation(np.arange(1, 7)).tolist()
         try:
             start.wait(timeout=30)
-            results[i] = {n: exact_oracles._block_pair(rho, sigma, n) for n in order}
+            results[i] = {n: block_pair(rho, sigma, n) for n in order}
         except Exception as exc:  # surfaced below, not lost in the thread
             errors.append(exc)
 
@@ -666,8 +666,9 @@ def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
                 for (m, r, s), (m0, r0, s0) in zip(got[n], blocks)
             )
     # each image is built once: a second call returns the stored read-only arrays
-    first, second = exact_oracles._block_pair(rho, sigma, 6), exact_oracles._block_pair(rho, sigma, 6)
-    assert all(r is r0 and not r.flags.writeable for (_, r, _), (_, r0, _) in zip(first, second))
+    lams = tuple(base for stack in exact_oracles._layout(3, (6,)) for base in stack[2])  # n = 6's base images
+    (_, first), (_, second) = (exact_oracles._pair_images(rho, sigma, lams) for _ in range(2))
+    assert all(r is r0 and not r.flags.writeable for r, r0 in zip(first, second))
 
 
 def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():
@@ -809,7 +810,7 @@ def test_pair_basis_is_real_for_every_qubit_pair_and_moves_no_oracle(kind, dtype
     # random unitary, which leaves no state diagonal or real, gives the same values
     rho, sigma = _basis_rule_pair(kind)
     for n in (1, 2, 5):
-        assert all(r.dtype == dtype and s.dtype == dtype for _, r, s in exact_oracles._block_pair(rho, sigma, n))
+        assert all(r.dtype == dtype and s.dtype == dtype for _, r, s in block_pair(rho, sigma, n))
     u = random_unitary(np.random.default_rng(813), rho.dim)
     rho_u, sigma_u = (DensityMatrix(u @ x.array @ u.conj().T) for x in (rho, sigma))
     ns = list(range(1, 7))

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+from collections import OrderedDict
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -9,7 +13,9 @@ from qsdbounds import (
     ResourceLimitError,
     ValidationError,
     build_classical_pair,
+    classical_beta_eps_exact,
     classical_exact_errors,
+    classical_exact_errors_log,
     matrix_power_support,
     psi,
     psi_curve_from_probabilities,
@@ -71,7 +77,7 @@ def test_type_table_is_the_stars_and_bars_enumeration(k):
         bars = np.array(list(combinations(range(n + k - 1), k - 1)), dtype=np.int64).reshape(total, k - 1)
         edges = np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), n + k - 1)))
         counts, log_coef = _type_table(n, k)
-        assert counts.dtype == np.int32
+        assert counts.dtype == np.uint8
         np.testing.assert_array_equal(counts, np.diff(edges, axis=1) - 1)
         if k <= 3:  # every count vector summing to n, in lexicographic order
             want_rows = [t for t in product(range(n + 1), repeat=k) if sum(t) == n]
@@ -81,9 +87,112 @@ def test_type_table_is_the_stars_and_bars_enumeration(k):
         np.testing.assert_allclose(log_coef, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.fixture
+def cold_types(monkeypatch):
+    """An empty type table cache for one test; the process's own comes back after it."""
+    monkeypatch.setattr(ns_mapping, "_TYPE_TABLES", OrderedDict())
+    monkeypatch.setattr(ns_mapping, "_type_bytes", 0)
+
+
+def _held_bytes() -> int:
+    held = sum(c.nbytes + lc.nbytes for c, lc in ns_mapping._TYPE_TABLES.values())
+    assert held == ns_mapping._type_bytes
+    return held
+
+
+def test_type_table_repeat_call_returns_the_same_read_only_arrays(cold_types):
+    for n, k, dtype in ((20, 4, np.uint8), (255, 2, np.uint8), (256, 2, np.uint16)):
+        counts, log_coef = _type_table(n, k)
+        again = _type_table(n, k)
+        assert again[0] is counts and again[1] is log_coef
+        assert counts.dtype == dtype and not counts.flags.writeable and not log_coef.flags.writeable
+        assert counts.sum(axis=1, dtype=np.int64).tolist() == [n] * counts.shape[0]
+    with pytest.raises(ValueError):
+        counts[0, 0] = 1
+
+
+def test_type_cache_holds_at_most_its_budget_least_recently_used_out_first(cold_types):
+    for n in range(1, 121):
+        _type_table(n, 4)
+    _type_table(12, 9)
+    assert 0 < _held_bytes() <= ns_mapping.TYPE_CACHE_BYTES
+    assert list(ns_mapping._TYPE_TABLES)[-2:] == [(120, 4), (12, 9)]
+    assert (1, 4) not in ns_mapping._TYPE_TABLES
+    # a hit moves its key to the most recent end
+    oldest = next(iter(ns_mapping._TYPE_TABLES))
+    _type_table(*oldest)
+    assert list(ns_mapping._TYPE_TABLES)[-1] == oldest
+
+
+def test_type_table_over_the_budget_is_built_correct_and_not_kept(monkeypatch, cold_types):
+    small = _type_table(6, 3)
+    monkeypatch.setattr(ns_mapping, "TYPE_CACHE_BYTES", 4096)
+    counts, log_coef = _type_table(40, 3)  # 861 types of 3 + 8 bytes
+    assert counts.nbytes + log_coef.nbytes > 4096
+    assert list(ns_mapping._TYPE_TABLES) == [(6, 3)] and _type_table(6, 3)[0] is small[0]
+    np.testing.assert_array_equal(counts, ns_mapping._type_counts(40, 3))
+    lg = [math.lgamma(j + 1.0) for j in range(41)]
+    want = [math.fsum([lg[40]] + [-lg[c] for c in row]) for row in counts.tolist()]
+    np.testing.assert_allclose(log_coef, want, rtol=0.0, atol=1e-12)
+    assert _type_table(40, 3)[0] is not counts
+
+
+def test_type_cache_stays_within_its_budget_for_racing_threads(monkeypatch, cold_types):
+    keys = [(n, k) for k in (3, 4, 5) for n in range(8, 31, 2)]
+    want = {key: tuple(np.copy(x) for x in _type_table(*key)) for key in keys}
+    ns_mapping._TYPE_TABLES.clear()
+    ns_mapping._type_bytes = 0
+    budget = 256 << 10  # a tenth of the 2.5 MiB of all the keys: threads evict each other's tables
+    monkeypatch.setattr(ns_mapping, "TYPE_CACHE_BYTES", budget)
+    start = threading.Barrier(8)
+    results: list = [None] * 8
+    errors: list = []
+
+    def worker(i):
+        order = np.random.default_rng(i).permutation(len(keys)).tolist() * 2
+        try:
+            start.wait(timeout=30)
+            results[i] = [(keys[j], _type_table(*keys[j])) for j in order]
+        except Exception as exc:  # surfaced below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for got in results:
+        for key, (counts, log_coef) in got:
+            assert np.array_equal(counts, want[key][0]) and log_coef.tobytes() == want[key][1].tobytes()
+    assert 0 < _held_bytes() <= budget
+
+
+def test_classical_oracles_give_the_same_bits_cold_and_warm(cold_types):
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    q_zero = np.array([0.0, 0.3, 0.3, 0.4])  # a zero-mass letter
+    calls = [partial(classical_exact_errors_log, p, p[::-1].copy(), n, a) for n in (1, 24, 48) for a in (-0.1, 0.1)]
+    calls += [partial(classical_beta_eps_exact, p, q, n, eps)
+              for q in (p[::-1].copy(), q_zero) for n in (1, 24, 48) for eps in (0.0, 0.1)]
+    cold = []
+    for call in calls:
+        ns_mapping._TYPE_TABLES.clear()
+        ns_mapping._type_bytes = 0
+        cold.append(call())
+    warm = [call() for call in calls]
+    assert set(ns_mapping._TYPE_TABLES) == {(1, 4), (24, 4), (48, 4)}
+    assert repr(warm) == repr(cold)
+
+
 @pytest.mark.parametrize("chunk", [7, 455, 16_384])
 def test_type_sums_round_each_product_before_adding_it(monkeypatch, chunk):
-    # the sum of count times weight, one letter at a time, as int32 count * float64
+    # the sum of count times weight, one letter at a time, as integer count * float64
     # weight, in chunks of types that do not divide, divide or exceed the 455 types
     monkeypatch.setattr(ns_mapping, "_TYPE_CHUNK", chunk)
     counts, _ = _type_table(12, 4)
