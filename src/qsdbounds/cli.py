@@ -96,16 +96,6 @@ def parse_state_file(path: str) -> DensityMatrix:
     return DensityMatrix(herm / trace) if clamped else DensityMatrix._decomposed(state, w, v)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def _json_scalar(x):
     if isinstance(x, float):
         if math.isinf(x):
@@ -123,31 +113,13 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
     print(path)
 
 
-_CELL_FORMATS = {int: "%d", float: "%.17g", type(None): "%.0s"}
-
-
-def _write_csv(out_dir: str, name: str, header: str, rows: list) -> None:
-    """Write rows as CSV with the cells of `_fmt`.
-
-    A row of ints, floats and Nones is formatted by one %-template per
-    sequence of cell types, which writes the bytes `_fmt` writes: a None
-    cell is empty, an infinity reads "inf" or "-inf" either way, and a NaN
-    cell, "nan" in the template's line, is then emptied. A row holding
-    another type goes through `_fmt` cell by cell.
-    """
-    lines = [header]
-    templates: dict[tuple, str | None] = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            cells = [_CELL_FORMATS.get(kind) for kind in kinds]
-            templates[kinds] = None if None in cells else ",".join(cells)
-        template = templates[kinds]
-        line = template % tuple(row) if template is not None else ",".join(map(_fmt, row))
-        if "nan" in line:  # a NaN cell of the template: _fmt writes it empty
-            line = ",".join("" if cell == "nan" else cell for cell in line.split(","))
-        lines.append(line)
-    _write_text(out_dir, name, "\n".join(lines) + "\n")
+def _write_csv(out_dir: str, name: str, header: str, *columns) -> None:
+    """Write equal-length columns as CSV: a None or NaN cell is empty, an int
+    (a bool included) is written by str, and any other number by %.17g,
+    which gives every float back exactly and writes infinities as inf, -inf."""
+    cells = [["" if x is None or x != x else str(x) if isinstance(x, int) else "%.17g" % x for x in column]
+             for column in columns]
+    _write_text(out_dir, name, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> None:
@@ -175,12 +147,12 @@ def _cmd_divergences(args) -> int:
     )
     ts = np.arange(101) / 100.0
     if curve.orthogonal_supports:
-        rows = [[t, -math.inf, None, None] for t in ts.tolist()]
+        columns = [[-math.inf] * ts.size, [None] * ts.size, [None] * ts.size]
     else:
         moments = _psi_moments_rows(curve, ts)
         moments /= unit
-        rows = [[t, *row] for t, row in zip(ts.tolist(), moments.tolist())]
-    _write_csv(args.out, "psi_curve.csv", "t,psi,psi_prime,psi_second", rows)
+        columns = moments.T.tolist()
+    _write_csv(args.out, "psi_curve.csv", "t,psi,psi_prime,psi_second", ts.tolist(), *columns)
     return 0
 
 
@@ -202,8 +174,8 @@ def _cmd_stein(args) -> int:
     lower = stein_lower(curve, ns, args.eps, args.variant).bound_value.tolist()
     upper = stein_upper(curve, ns, args.eps, args.variant).bound_value.tolist()
     ref = second_order_reference(curve, ns, args.eps).bound_value.tolist()
-    rows = list(zip(ns, lower, upper, exact, ref))
-    _write_csv(args.out, "stein.csv", "n,lower,upper,exact_if_feasible,second_order_ref", rows)
+    header = "n,lower,upper,exact_if_feasible,second_order_ref"
+    _write_csv(args.out, "stein.csv", header, ns, lower, upper, exact, ref)
     return 0
 
 
@@ -211,12 +183,13 @@ def _cmd_hoeffding(args) -> int:
     rho = parse_state_file(args.rho)
     sigma = parse_state_file(args.sigma)
     curve = _state_pair(rho, sigma)
-    upper = hoeffding_upper(curve, range(1, args.n_max + 1), args.r)
+    ns = range(1, args.n_max + 1)
+    upper = hoeffding_upper(curve, ns, args.r)
     if not upper.valid:
         raise ValidationError(f"hoeffding bound unavailable: {upper.reason}")
     t_r, h_r = upper.parameters["t_r"], upper.parameters["hoeffding_distance"]
-    rows = [[n, value, t_r, h_r] for n, value in enumerate(upper.bound_value.tolist(), 1)]
-    _write_csv(args.out, "hoeffding.csv", "n,upper,t_r,H_r", rows)
+    _write_csv(args.out, "hoeffding.csv", "n,upper,t_r,H_r", ns, upper.bound_value.tolist(),
+               [t_r] * len(ns), [h_r] * len(ns))
     return 0
 
 
@@ -228,20 +201,15 @@ def _cmd_chernoff(args) -> int:
     upper = mixed_upper(curve, ns, 0.0).mixed.bound_value.tolist()
     exact = _exact_rates(lambda capped: quantum_mixed_error_exact(rho, sigma, capped, 0.0), rho.dim, args.n_max)
     lower = quantum_chernoff_lower(rho, sigma, ns).bound_value.tolist()
-    rows = list(zip(ns, upper, lower, exact))
-    _write_csv(
-        args.out,
-        "chernoff.csv",
-        "n,mixed_upper_rate,mixed_lower_rate_if_valid,exact_rate_if_feasible",
-        rows,
-    )
+    header = "n,mixed_upper_rate,mixed_lower_rate_if_valid,exact_rate_if_feasible"
+    _write_csv(args.out, "chernoff.csv", header, ns, upper, lower, exact)
     return 0
 
 
 def _cmd_binary(args) -> int:
     bp = BinaryPair(args.p, args.q)
     rows = rate_curve(bp, args.a, args.n_max)
-    _write_csv(args.out, "binary_rate.csv", "n,rate_exact,rate_lower,rate_upper,chernoff", rows)
+    _write_csv(args.out, "binary_rate.csv", "n,rate_exact,rate_lower,rate_upper,chernoff", *zip(*rows))
     return 0
 
 

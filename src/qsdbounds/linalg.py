@@ -94,7 +94,7 @@ def _sum2_rows(a: np.ndarray, slack=0.0) -> tuple[np.ndarray, np.ndarray]:
 def _fsum_rows(a: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a 2-D float array, bit for bit: `_sum2_rows`
     where it certifies a row, else math.fsum of the row, which also gives
-    its inf, nan or exception. An all-zero row sums to 0.0.
+    its inf, nan or exception.
 
     On the 64 x 601 log-domain terms of e_n (1 down to 1e-300) it takes
     0.35 ms, against 2.2 ms for sorting each row and calling fsum, with no
@@ -103,7 +103,7 @@ def _fsum_rows(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     out, ok = _sum2_rows(a)
     for i in np.flatnonzero(~ok).tolist():
-        out[i] = math.fsum(a[i].tolist()) if a[i].any() else 0.0  # fsum of zeros is 0.0
+        out[i] = math.fsum(a[i].tolist())
     return out
 
 

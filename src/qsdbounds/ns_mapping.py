@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import ResourceLimitError, ValidationError
 from .linalg import SpectralDecomposition, _check_count, _check_letters, _check_threshold
 
 MAX_TYPES = 2_000_000
-TYPE_CACHE_BYTES = 16 << 20  # bytes of type tables kept per process, least recently used out first
+TYPE_CACHE_BYTES = 16 << 20  # bytes of type tables kept per process, first come first kept
 _TYPE_CHUNK = 16_384  # types per chunk of `_type_sums`, whose two work columns stay in cache
 
 
@@ -59,28 +58,37 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _type_counts(n: int, k: int) -> np.ndarray:
-    """The (T, k) counts of `_type_table` as int32, grown one letter at a time.
+    """The (T, k) counts of `_type_table`, grown one letter at a time in the
+    narrowest unsigned dtype that holds n.
 
     Stars and bars: each partial type with r draws left becomes r + 1 rows,
     giving the next letter 0..r in turn, and the last letter takes what
-    remains, so the rows come out in lexicographic order.
+    remains, so the rows come out in lexicographic order. A letter column is
+    the running sum of its steps, +1 within a partial type and -r back to 0
+    at the next; the narrow sum wraps, but each partial sum is a letter, at
+    most n, so it comes out exact. Repeat counts and row ends are int64, as
+    r + 1 and the row totals outgrow the narrow dtype.
     """
+    dtype = np.min_scalar_type(n)
     cols: list[np.ndarray] = []
-    left = np.full(1, n, dtype=np.int32)
+    left = np.full(1, n, dtype=dtype)
     for _ in range(k - 1):
-        reps = left + 1
-        first = np.cumsum(reps, dtype=np.int32) - reps
-        letter = np.arange(first[-1] + reps[-1], dtype=np.int32)
-        letter -= np.repeat(first, reps)
+        reps = left.astype(np.int64) + 1
+        ends = np.cumsum(reps)
+        letter = np.ones(ends[-1], dtype=dtype)
+        letter[0] = 0
+        letter[ends[:-1]] = -left[:-1]
+        np.cumsum(letter, dtype=dtype, out=letter)
         cols = [np.repeat(col, reps) for col in cols] + [letter]
         left = np.repeat(left, reps)
         left -= letter
     return np.column_stack(cols + [left])
 
 
-# (n, k) -> the read-only (counts, log_coef) of `_type_table`, least recently
-# used first, holding _type_bytes <= TYPE_CACHE_BYTES in all; both under the lock.
-_TYPE_TABLES: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+# (n, k) -> the read-only (counts, log_coef) of `_type_table`, first come first
+# kept while _type_bytes, the bytes of all kept, fits TYPE_CACHE_BYTES; both
+# under the lock.
+_TYPE_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _TYPE_TABLES_LOCK = threading.Lock()
 _type_bytes = 0
 
@@ -94,10 +102,10 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     ResourceLimitError when T exceeds MAX_TYPES.
 
     The tables do not depend on the state, so each is kept for the process
-    while the tables kept fit in TYPE_CACHE_BYTES, the least recently used
-    going first; a table larger than that is built on every call. Tables are
-    built outside the lock, so threads racing on one key may each build it,
-    and all but the first stored copy are dropped.
+    if it fits in what the tables kept before it leave of TYPE_CACHE_BYTES;
+    nothing is evicted, and a table that does not fit is built on every
+    call. Tables are built outside the lock, so threads racing on one key
+    may each build it, and all but the first stored copy are dropped.
     """
     global _type_bytes
     total = math.comb(n + k - 1, k - 1)
@@ -106,9 +114,8 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     key = (n, k)
     with _TYPE_TABLES_LOCK:
         if key in _TYPE_TABLES:
-            _TYPE_TABLES.move_to_end(key)
             return _TYPE_TABLES[key]
-    counts = _type_counts(n, k).astype(np.min_scalar_type(n))
+    counts = _type_counts(n, k)
     lg = _log_factorials(n)
     log_coef = np.full(total, lg[n])
     for col in counts.T:
@@ -116,12 +123,9 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     counts.flags.writeable = log_coef.flags.writeable = False
     size = counts.nbytes + log_coef.nbytes
     with _TYPE_TABLES_LOCK:
-        if key not in _TYPE_TABLES and size <= TYPE_CACHE_BYTES:
+        if key not in _TYPE_TABLES and _type_bytes + size <= TYPE_CACHE_BYTES:
             _TYPE_TABLES[key] = (counts, log_coef)
             _type_bytes += size
-            while _type_bytes > TYPE_CACHE_BYTES:
-                _, (old_counts, old_coef) = _TYPE_TABLES.popitem(last=False)
-                _type_bytes -= old_counts.nbytes + old_coef.nbytes
         return _TYPE_TABLES.get(key, (counts, log_coef))
 
 

@@ -455,19 +455,48 @@ def test_a_request_decomposes_each_state_once(tmp_path, monkeypatch):
 
 
 def test_csv_cells_are_the_bytes_of_fmt(tmp_path):
-    rows = [
-        [1, None, math.nan, math.inf, -math.inf, -0.0, 0.1, 2**70],
-        [2, -math.nan, None, 5e-324, -3],
-        [3, 0.5, math.nan],  # one template, NaN in some of its rows only
-        [4, 0.25, 1.0],
-        [None, None],
-        [math.nan],
-        [True, 1.5],  # other types go through _fmt
-        [np.float64(0.25), np.nan, 7],
+    # None and NaN are empty, an int or a bool is str, anything else %.17g
+    columns = [
+        [1, 2, 3, None, True],
+        [None, -math.nan, 0.5, None, 1.5],
+        [math.nan, None, math.nan, math.nan, np.float64(0.25)],
+        [math.inf, 5e-324, 1.0, None, np.nan],
+        [-math.inf, -3, 0.25, math.nan, 7],
+        [-0.0, 0.1, 2**70, None, 4],
     ]
-    cli._write_csv(str(tmp_path), "cells.csv", "h", rows)
-    want = "h\n" + "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+    cli._write_csv(str(tmp_path), "cells.csv", "h", *columns)
+    want = (
+        "h\n"
+        "1,,,inf,-inf,-0\n"
+        "2,,,4.9406564584124654e-324,-3,0.10000000000000001\n"
+        "3,0.5,,1,0.25,1180591620717411303424\n"
+        ",,,,,\n"
+        "True,1.5,0.25,,7,4\n"
+    )
     assert (tmp_path / "cells.csv").read_bytes() == want.encode()
+
+
+def test_orthogonal_pure_states_write_minus_inf_and_empty_cells(tmp_path, capsys):
+    # psi = -inf on all of [0, 1] for |0><0| against |1><1|: the divergences are
+    # infinite, each exact error is 0, and no bound or Hoeffding rate exists
+    zero_f = write_state(tmp_path / "zero.json", DensityMatrix(np.diag([1.0, 0.0])))
+    one_f = write_state(tmp_path / "one.json", DensityMatrix(np.diag([0.0, 1.0])))
+    states = ["--rho", zero_f, "--sigma", one_f]
+    out = tmp_path / "out"
+    assert main(["divergences", *states, "--out", str(out)]) == 0
+    profile = json.loads((out / "divergences.json").read_text())
+    assert [profile[key] for key in ("relative_entropy", "chernoff", "eta", "variance")] == ["inf"] * 4
+    rows = [line.split(",") for line in (out / "psi_curve.csv").read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == (np.arange(101) / 100.0).tolist()
+    assert rows[0] == ["0", "-inf", "", ""] and all(row[1:] == ["-inf", "", ""] for row in rows)
+    assert main(["stein", *states, "--eps", "0.1", "--n-max", "12", "--out", str(out)]) == 0
+    assert (out / "stein.csv").read_text().splitlines()[1:] == [f"{n},,,-inf," for n in range(1, 13)]
+    assert main(["chernoff", *states, "--n-max", "12", "--out", str(out)]) == 0
+    assert (out / "chernoff.csv").read_text().splitlines()[1:] == [f"{n},,,-inf" for n in range(1, 13)]
+    capsys.readouterr()
+    assert main(["hoeffding", *states, "--r", "0.05", "--n-max", "12", "--out", str(out)]) == 2
+    assert "orthogonal supports" in capsys.readouterr().err
+    assert not (out / "hoeffding.csv").exists()
 
 
 def test_divergences_runs_on_a_128_dim_state_pair(tmp_path):

@@ -1,7 +1,7 @@
 import math
 import sys
 import threading
-from collections import OrderedDict
+import tracemalloc
 from functools import partial
 from itertools import combinations, product
 
@@ -90,7 +90,7 @@ def test_type_table_is_the_stars_and_bars_enumeration(k):
 @pytest.fixture
 def cold_types(monkeypatch):
     """An empty type table cache for one test; the process's own comes back after it."""
-    monkeypatch.setattr(ns_mapping, "_TYPE_TABLES", OrderedDict())
+    monkeypatch.setattr(ns_mapping, "_TYPE_TABLES", {})
     monkeypatch.setattr(ns_mapping, "_type_bytes", 0)
 
 
@@ -111,17 +111,30 @@ def test_type_table_repeat_call_returns_the_same_read_only_arrays(cold_types):
         counts[0, 0] = 1
 
 
-def test_type_cache_holds_at_most_its_budget_least_recently_used_out_first(cold_types):
-    for n in range(1, 121):
-        _type_table(n, 4)
-    _type_table(12, 9)
-    assert 0 < _held_bytes() <= ns_mapping.TYPE_CACHE_BYTES
-    assert list(ns_mapping._TYPE_TABLES)[-2:] == [(120, 4), (12, 9)]
-    assert (1, 4) not in ns_mapping._TYPE_TABLES
-    # a hit moves its key to the most recent end
-    oldest = next(iter(ns_mapping._TYPE_TABLES))
-    _type_table(*oldest)
-    assert list(ns_mapping._TYPE_TABLES)[-1] == oldest
+def test_type_cache_keeps_the_first_tables_that_fit_its_budget(monkeypatch, cold_types):
+    budget = 512 << 10  # a third of the 1.6 MB of the sweep
+    monkeypatch.setattr(ns_mapping, "TYPE_CACHE_BYTES", budget)
+    sweep = [(n, 4) for n in range(1, 41)]
+    first = {key: _type_table(*key) for key in sweep}
+    kept = list(ns_mapping._TYPE_TABLES)
+    assert 0 < len(kept) < len(sweep) and kept == sweep[: len(kept)]
+    assert 0 < _held_bytes() <= budget
+    # a repeat of the sweep rebuilds only the tables that did not fit, and keeps none of them
+    again = {key: _type_table(*key) for key in sweep}
+    assert [key for key in sweep if again[key][0] is first[key][0]] == kept
+    assert list(ns_mapping._TYPE_TABLES) == kept and _held_bytes() <= budget
+
+
+def test_cold_type_table_build_peaks_under_40_mib(cold_types):
+    # 1,949,476 types: 7.8 MB of uint8 counts and 15.6 MB of log coefficients
+    tracemalloc.start()
+    try:
+        counts, log_coef = _type_table(225, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.uint8 and counts.shape == (math.comb(228, 3), 4)
+    assert peak <= 40 << 20
 
 
 def test_type_table_over_the_budget_is_built_correct_and_not_kept(monkeypatch, cold_types):
@@ -142,7 +155,7 @@ def test_type_cache_stays_within_its_budget_for_racing_threads(monkeypatch, cold
     want = {key: tuple(np.copy(x) for x in _type_table(*key)) for key in keys}
     ns_mapping._TYPE_TABLES.clear()
     ns_mapping._type_bytes = 0
-    budget = 256 << 10  # a tenth of the 2.5 MiB of all the keys: threads evict each other's tables
+    budget = 256 << 10  # a tenth of the 2.5 MiB of all the keys: threads race for the room left
     monkeypatch.setattr(ns_mapping, "TYPE_CACHE_BYTES", budget)
     start = threading.Barrier(8)
     results: list = [None] * 8
