@@ -246,8 +246,7 @@ def _layout(d: int, ns: tuple[int, ...]) -> tuple[tuple, ...]:
     R = 0 and S = I (lam R - S = -1 there: no test accepts it, R weighs 0);
     each larger size has its own, as a stacked eigh costs about the cube of
     the padded size. index[b] places block b in the base images laid end to
-    end, padding on the 0 after them; pad is S's padded diagonal. A stack of
-    one block has neither and reads its image whole.
+    end, padding on the 0 after them; pad is S's padded diagonal.
     """
     groups: dict[int, list[tuple[int, int, Partition, int, int]]] = {}
     for i, n in enumerate(ns):
@@ -262,18 +261,17 @@ def _layout(d: int, ns: tuple[int, ...]) -> tuple[tuple, ...]:
         weight = np.zeros((len(group), len(ns)))
         weight[range(len(group)), owner] = mult
         size = dict(zip(bases, sizes))
-        bases, index, pad = tuple(size), None, None
-        if len(group) > 1:
-            offsets = np.cumsum([0] + [size[base] ** 2 for base in bases]).tolist()
-            start, rows = dict(zip(bases, offsets)), max(sizes)
-            index = np.full((len(group), rows, rows), offsets[-1])
-            for b, (_, _, base, _, f) in enumerate(group):
-                index[b, :f, :f] = np.arange(start[base], start[base] + f * f).reshape(f, f)
-            pad = np.nonzero(index[:, range(rows), range(rows)] == offsets[-1])
-        arrays = [np.array(owner), weight, np.array(powers), *((index, *pad) if pad else ())]
-        for array in arrays:
+        bases = tuple(size)
+        offsets = np.cumsum([0] + [size[base] ** 2 for base in bases]).tolist()
+        start, rows = dict(zip(bases, offsets)), max(sizes)
+        index = np.full((len(group), rows, rows), offsets[-1])
+        for b, (_, _, base, _, f) in enumerate(group):
+            index[b, :f, :f] = np.arange(start[base], start[base] + f * f).reshape(f, f)
+        pad = np.nonzero(index[:, range(rows), range(rows)] == offsets[-1])
+        owner, powers = np.array(owner), np.array(powers)
+        for array in (owner, weight, powers, index, *pad):
             array.flags.writeable = False  # shared by every caller of the cache
-        stacks.append((arrays[0], weight, bases, arrays[2], index, pad))
+        stacks.append((owner, weight, bases, powers, index, pad))
     return tuple(stacks)
 
 
@@ -281,9 +279,10 @@ def _sweep_stacks(
     rho: DensityMatrix, sigma: DensityMatrix, n
 ) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
     """(ns, stacks): n as a list of counts, an int being a sweep of one, and the stacks
-    (owner, weight, R, S) of `_layout`, each one gather from the base images of
-    `_pair_images` times det^k (a Python float power, as there). Every n is
-    checked by `_counts`, and against `_max_copies`, before any block is built."""
+    (owner, weight, pair) of `_layout`, pair the (2, B, f, f) stack of R and S, one
+    gather from the base images of `_pair_images` times det^k (a Python float
+    power, as there). Every n is checked by `_counts`, and against `_max_copies`,
+    before any block is built."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     counts = _counts(n)
@@ -293,17 +292,13 @@ def _sweep_stacks(
     stacks = []
     for owner, weight, bases, powers, index, pad in _layout(rho.dim, tuple(ns)):
         dets, images = _pair_images(rho, sigma, bases)
-        if index is None:
-            pair = images[0][:, None]
-        else:
-            flat = [image.reshape(2, -1) for image in images]
-            pair = np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1)[:, index]
+        flat = [image.reshape(2, -1) for image in images]
+        pair = np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1)[:, index]
         if powers.any():
             scale = np.array([[det**k for k in range(powers.max() + 1)] for det in dets])
-            pair = pair * scale[:, powers, None, None]
-        if pad is not None:
-            pair[1, pad[0], pad[1], pad[1]] = 1.0
-        stacks.append((owner, weight, pair[0], pair[1]))
+            pair *= scale[:, powers, None, None]
+        pair[1, pad[0], pad[1], pad[1]] = 1.0
+        stacks.append((owner, weight, pair))
     return ns, stacks
 
 
@@ -314,15 +309,16 @@ def quantum_mixed_error_exact(rho: DensityMatrix, sigma: DensityMatrix, n, a: fl
     an int, giving a float, or a 1-D sequence, giving a float64 array,
     checked and capped as in `beta_eps_exact`. The eigenvalues come from one
     batched eigvalsh per stack of `_sweep_stacks`, where a padded row's is -1. The
-    difference cancels: its rounding error is about 1e-16 kappa, absolute.
+    difference cancels: its rounding error is about 1e-16 kappa, absolute, and
+    it is clipped at 0.
     """
     ns, stacks = _sweep_stacks(rho, sigma, n)
     kappa = np.array([_mixed_weight(k, a) for k in ns])
     positive = np.zeros(len(ns))
-    for owner, weight, r, s in stacks:
-        w = np.linalg.eigvalsh(kappa[owner, None, None] * r - s)
+    for owner, weight, pair in stacks:
+        w = np.linalg.eigvalsh(kappa[owner, None, None] * pair[0] - pair[1])
         positive += np.where(w > 0.0, w, 0.0).sum(axis=1) @ weight
-    e_n = kappa - positive
+    e_n = np.maximum(kappa - positive, 0.0)
     return float(e_n[0]) if np.ndim(n) == 0 else e_n
 
 
@@ -333,44 +329,41 @@ class NPTestErrors(NamedTuple):
 
 
 def _np_round(
-    stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float, positive: bool = False
-) -> tuple[np.ndarray, ...]:
-    """((alpha, beta), degenerate) per n of the projector test onto lam_n R - S above tol,
-    and with positive also Tr(lam_n rho_n - sigma_n)_+, the sum of the eigenvalues above 0.
+    stacks: list[tuple[np.ndarray, ...]], lam: np.ndarray, open_: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """((alpha, beta), degenerate, positive) per n of the projector test onto lam_n R - S
+    above tol, positive being Tr(lam_n rho_n - sigma_n)_+, the sum of the eigenvalues above 0.
 
-    One batched eigh per stack, over the blocks of every n with open_ set.
-    alpha = Tr rho_n (I - T) sums the rejected eigenvectors and beta =
-    Tr sigma_n T the accepted ones, each weighted by its block's
-    multiplicity; degenerate flags an eigenvalue within tol of zero. The
-    entries of n not open are 0.
+    One batched eigh and one batched product pair @ v per stack, over the
+    blocks of every n with open_ set. alpha = Tr rho_n (I - T) sums the
+    rejected eigenvectors and beta = Tr sigma_n T the accepted ones, each
+    weighted by its block's multiplicity; degenerate flags an eigenvalue
+    within tol of zero. The entries of n not open are 0.
     """
-    errors, flags = np.zeros((2 + positive, lam.size)), np.zeros(lam.size)
-    for owner, weight, r, s in stacks:
+    errors, flags = np.zeros((3, lam.size)), np.zeros(lam.size)
+    for owner, weight, pair in stacks:
         keep = open_[owner]
         if not keep.all():
             if not keep.any():
                 continue
-            owner, weight, r, s = owner[keep], weight[keep], r[keep], s[keep]
-        w, v = np.linalg.eigh(lam[owner, None, None] * r - s)
+            owner, weight, pair = owner[keep], weight[keep], pair[:, keep]
+        w, v = np.linalg.eigh(lam[owner, None, None] * pair[0] - pair[1])
         accept = w > tol
-        alpha = np.where(accept, 0.0, np.einsum("kij,kij->kj", v.conj(), r @ v).real)
-        beta = np.where(accept, np.einsum("kij,kij->kj", v.conj(), s @ v).real, 0.0)
-        sums = [alpha.sum(axis=1), beta.sum(axis=1)]
-        if positive:
-            sums.append(np.where(w > 0.0, w, 0.0).sum(axis=1))
-        errors += np.stack(sums) @ weight
+        diagonals = np.einsum("kij,xkij->xkj", v.conj(), pair @ v).real
+        tests = np.where(np.stack((~accept, accept)), diagonals, 0.0).sum(axis=2)
+        errors += np.vstack((tests, np.where(w > 0.0, w, 0.0).sum(axis=1))) @ weight
         flags += np.any(np.abs(w) <= tol, axis=1) @ weight
-    return (np.clip(errors[:2], 0.0, 1.0), flags > 0.0, *errors[2:])
+    return np.clip(errors[:2], 0.0, 1.0), flags > 0.0, errors[2]
 
 
 def _oracle_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> tuple[float, NPTestErrors]:
     """(e_n(a), `np_test_errors`) at one n, from the one eigh per stack of one `_np_round`:
-    e_n = kappa - positive there, the value of `quantum_mixed_error_exact`."""
+    e_n = kappa - positive there clipped at 0, the value of `quantum_mixed_error_exact`."""
     _check_count(n)
     _, stacks = _sweep_stacks(rho, sigma, n)
     kappa = _mixed_weight(n, a)
-    (alpha, beta), flag, positive = _np_round(stacks, np.array([kappa]), np.ones(1, bool), _KERNEL_TOL, positive=True)
-    return kappa - float(positive[0]), NPTestErrors(float(alpha[0]), float(beta[0]), bool(flag[0]))
+    (alpha, beta), flag, positive = _np_round(stacks, np.array([kappa]), np.ones(1, bool), _KERNEL_TOL)
+    return max(kappa - float(positive[0]), 0.0), NPTestErrors(float(alpha[0]), float(beta[0]), bool(flag[0]))
 
 
 def np_test_errors(rho: DensityMatrix, sigma: DensityMatrix, n: int, a: float) -> NPTestErrors:
@@ -411,22 +404,22 @@ def _beta_eps_sweep(
     support = matrix_power_support(sigma.spectral(), 0.0)
     overlap = float(np.einsum("ij,ji->", rho.array, support).real)
     open_ = np.array([overlap**k > eps for k in ns], dtype=bool)  # else beta = 0
-    lo, hi = np.zeros((2, 2, len(ns)))  # rows alpha, beta
-    lo[0] = hi[1] = 1.0  # reject-all and accept-all
+    ends = np.zeros((2, 2, len(ns)))  # lo and hi, rows alpha, beta
+    ends[0, 0] = ends[1, 1] = 1.0  # reject-all and accept-all
     dual, primal = np.where(open_, -math.inf, 0.0), np.where(open_, math.inf, 0.0)
     gap = np.full(len(ns), math.inf)
     for _ in range(_MAX_ITER):
         if not open_.any():
             break
         # a closed n keeps its bracket, so its primal stays put
+        lo, hi = ends
         lam = (hi[1] - lo[1]) / (lo[0] - hi[0])
         primal = np.minimum(primal, lo[1] + lam * (lo[0] - eps))
-        test, _ = _np_round(stacks, lam, open_, 0.0)
+        test, _, _ = _np_round(stacks, lam, open_, 0.0)
         dual = np.where(open_, np.maximum(dual, test[1] + lam * (test[0] - eps)), dual)
         open_ &= (primal - dual > _GAP_RTOL * primal) & (primal - dual < gap)
         gap = primal - dual
-        lo = np.where(open_ & (test[0] > eps), test, lo)
-        hi = np.where(open_ & (test[0] <= eps), test, hi)
+        ends = np.where((open_ & np.stack((test[0] > eps, test[0] <= eps)))[:, None], test, ends)
     if open_.any():
         raise ConvergenceError("the Neyman-Pearson test search did not close its gap")
     return dual, primal

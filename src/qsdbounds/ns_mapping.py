@@ -25,7 +25,7 @@ from .linalg import SpectralDecomposition, _check_count, _check_letters, _check_
 
 MAX_TYPES = 2_000_000
 TYPE_CACHE_BYTES = 16 << 20  # bytes of type tables kept per process, first come first kept
-_TYPE_CHUNK = 16_384  # types per chunk of `_type_sums`, whose two work columns stay in cache
+_TYPE_CHUNK = 16_384  # types per chunk of `_type_sums` and `_type_table`: work columns stay in cache
 
 
 def build_classical_pair(a_dec: SpectralDecomposition, b_dec: SpectralDecomposition) -> ClassicalPair:
@@ -118,8 +118,9 @@ def _type_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     counts = _type_counts(n, k)
     lg = _log_factorials(n)
     log_coef = np.full(total, lg[n])
-    for col in counts.T:
-        log_coef -= lg[col]
+    for start in range(0, total, _TYPE_CHUNK):  # lg[col] of one chunk at a time
+        for col in counts[start : start + _TYPE_CHUNK].T:
+            log_coef[start : start + _TYPE_CHUNK] -= lg[col]
     counts.flags.writeable = log_coef.flags.writeable = False
     size = counts.nbytes + log_coef.nbytes
     with _TYPE_TABLES_LOCK:

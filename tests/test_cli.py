@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_divergences_bits_rescaling(tmp_path, pair_files):
     nats_psi = (nats_dir / "psi_curve.csv").read_text().splitlines()[50].split(",")
     bits_psi = (bits_dir / "psi_curve.csv").read_text().splitlines()[50].split(",")
     assert float(bits_psi[1]) == pytest.approx(float(nats_psi[1]) / ln2, rel=1e-12)
+
+
+def test_qutrit_data_pair_is_the_seeded_full_rank_pair():
+    # the console-script checks of CI run on this pair: the files hold the
+    # states of this seed, written by state_to_json_dict
+    rng = np.random.default_rng(26)
+    for name in ("rho", "sigma"):
+        path = os.path.join(os.path.dirname(__file__), "data", f"qutrit_{name}.json")
+        want = random_full_rank_state(rng, 3)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == state_to_json_dict(want)
+        assert np.linalg.eigvalsh(parse_state_file(path).array).min() >= 0.02
 
 
 def test_oracle_reference_value(tmp_path):

@@ -389,8 +389,8 @@ def test_qubit_blocks_match_dense_qubit_tensor_powers(kind, d, n_max, monkeypatc
 
     def dense_stacks(r, s, n):  # one stack per n, holding its whole tensor powers
         ns = [n] if np.ndim(n) == 0 else list(n)
-        return ns, [(np.array([i]), np.eye(len(ns))[[i]], tensor_power(r.array, k)[None],
-                     tensor_power(s.array, k)[None]) for i, k in enumerate(ns)]
+        return ns, [(np.array([i]), np.eye(len(ns))[[i]], np.stack((tensor_power(r.array, k),
+                     tensor_power(s.array, k)))[:, None]) for i, k in enumerate(ns)]
 
     monkeypatch.setattr(exact_oracles, "_sweep_stacks", dense_stacks)
     for n in range(1, n_max + 1):
@@ -505,6 +505,78 @@ def test_beta_eps_sweep_matches_each_n_alone(oracle, kind, d, n_max, x, monkeypa
         call(rho, sigma, n_cap + 1, x)
 
 
+def test_mixed_error_of_near_orthogonal_pure_pairs_is_never_negative():
+    # kappa - Tr(kappa rho_n - sigma_n)_+ cancels to e_n = 1 - sqrt(1 - F^n) at
+    # a = 0, which a fidelity F of 1e-8 to 1e-1 puts far below its absolute
+    # rounding floor: unclipped, 2,451 of these 4,900 sums land below 0
+    rng = np.random.default_rng(4900)
+    for d, count in ((2, 300), (3, 100), (4, 100)):
+        ns = np.arange(1, exact_oracles._max_copies(d) + 1)
+        for _ in range(count):
+            u = random_unitary(rng, d)
+            fidelity = 10.0 ** rng.uniform(-8.0, -1.0)
+            rho = DensityMatrix.pure(u[:, 0])
+            sigma = DensityMatrix.pure(math.sqrt(1.0 - fidelity) * u[:, 1] + math.sqrt(fidelity) * u[:, 0])
+            want = fidelity**ns / (1.0 + np.sqrt(1.0 - fidelity**ns))
+            e_n = quantum_mixed_error_exact(rho, sigma, ns, 0.0)
+            assert np.all(e_n >= 0.0) and np.all(np.abs(e_n - want) <= _EN_FLOOR), (d, fidelity)
+            for n in ns[::3].tolist():  # the CLI oracle's e_n, from one Neyman-Pearson round
+                got = exact_oracles._oracle_errors(rho, sigma, n, 0.0)[0]
+                assert 0.0 <= got and abs(got - want[n - 1]) <= _EN_FLOOR, (d, fidelity, n)
+
+
+# Checks of theorems that need no reference value: e_n(0) and beta_{n,eps}
+# do not increase with n (a test may ignore a copy), and the product of a test
+# on m copies and one on n copies gives beta_{m+n,eps1+eps2} <= beta_{m,eps1}
+# beta_{n,eps2}. A lower end of the larger side must sit below an upper end of
+# the smaller, within REFERENCE_FREE_REL plus the absolute floor of the cancelling forms.
+REFERENCE_FREE_REL = 1e-9
+_EN_FLOOR = 1e-14  # e_n and the dual cancel to about 1e-16 kappa; this leaves 100 ulps of 1
+REFERENCE_FREE_EPS = (0.05, 0.1, 0.05 + 0.1)
+
+
+def _assert_reference_free(lower: dict, upper: dict, ns: list[int], floor: float) -> None:
+    """lower[eps][n] and upper[eps][n] bracket beta_{n,eps} (eps None: e_n(0) alone)."""
+    for eps in lower:
+        for m, n in zip(ns, ns[1:]):
+            assert lower[eps][n] <= upper[eps][m] * (1.0 + REFERENCE_FREE_REL) + floor, (eps, m, n)
+    if None in lower:
+        return
+    eps1, eps2, eps = REFERENCE_FREE_EPS
+    for m in ns:
+        for n in ns:
+            if m + n in lower[eps]:
+                bound = upper[eps1][m] * upper[eps2][n]
+                assert lower[eps][m + n] <= bound * (1.0 + REFERENCE_FREE_REL) + floor, (m, n)
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 12), (3, 7)])
+@pytest.mark.parametrize("kind", CROSS_CHECK_KINDS)
+def test_quantum_oracles_meet_the_reference_free_theorems(kind, d, n_max):
+    rho, sigma = _cross_check_pair(kind, d)
+    ns = list(range(1, n_max + 1))
+    e_n = dict(zip(ns, quantum_mixed_error_exact(rho, sigma, ns, 0.0).tolist()))
+    _assert_reference_free({None: e_n}, {None: e_n}, ns, _EN_FLOOR)
+    lower, upper = {}, {}
+    for eps in REFERENCE_FREE_EPS:
+        dual, primal = exact_oracles._beta_eps_sweep(rho, sigma, ns, eps)
+        lower[eps], upper[eps] = dict(zip(ns, dual.tolist())), dict(zip(ns, primal.tolist()))
+    _assert_reference_free(lower, upper, ns, _EN_FLOOR)
+
+
+@pytest.mark.parametrize("k,ns", [
+    (2, list(range(1, 201))),
+    (3, list(range(1, 201))),
+    # every n of 4 letters to 200 takes seconds: the small n, and the ends near 100 and 200
+    (4, list(range(1, 41)) + [99, 100, 101, 199, 200]),
+])
+def test_classical_beta_eps_meets_the_reference_free_theorems(k, ns):
+    p, q = np.random.default_rng([4901, k]).dirichlet(np.full(k, 3.0), size=2)
+    beta = {eps: {n: classical_beta_eps_exact(p, q, n, eps) for n in ns} for eps in REFERENCE_FREE_EPS}
+    assert min(beta[0.1].values()) > 0.0  # full support: no beta rounds to 0
+    _assert_reference_free(beta, beta, ns, 0.0)
+
+
 def test_quantum_lower_bounds_sit_below_the_exact_mixed_error_at_n_12():
     # n = 12 = d^2 (d^2 - 1) is the one qubit n under the cap where the paper's
     # quantum lower bounds hold; r runs over 1/4, 1/2 and 3/4 of (-psi(1), -psi(0) - psi'(0))
@@ -556,7 +628,7 @@ def test_blocks_carry_the_spectrum_of_the_tensor_power(d):
 
 
 def _copied_stacks(blocks_by_n):
-    """The stacks (owner, weight, R, S) built block by block from `block_pair`:
+    """The stacks (owner, weight, pair) built block by block from `block_pair`:
     the reference for the gathered stacks of `_sweep_stacks`."""
     groups = {}
     for i, blocks in enumerate(blocks_by_n):
@@ -566,14 +638,12 @@ def _copied_stacks(blocks_by_n):
     for group in groups.values():
         rows = max(r.shape[0] for _, _, r, _ in group)
         weight = np.zeros((len(group), len(blocks_by_n)))
-        r_stack = np.zeros((len(group), rows, rows), dtype=group[0][2].dtype)
-        s_stack = np.zeros_like(r_stack)
-        s_stack[:, range(rows), range(rows)] = 1.0
+        pair = np.zeros((2, len(group), rows, rows), dtype=group[0][2].dtype)
+        pair[1, :, range(rows), range(rows)] = 1.0
         for j, (i, m, r, s) in enumerate(group):
             weight[j, i] = m
-            r_stack[j, : r.shape[0], : r.shape[0]] = r
-            s_stack[j, : s.shape[0], : s.shape[0]] = s
-        stacks.append(([i for i, _, _, _ in group], weight, r_stack, s_stack))
+            pair[:, j, : r.shape[0], : r.shape[0]] = r, s
+        stacks.append(([i for i, _, _, _ in group], weight, pair))
     return stacks
 
 
@@ -584,9 +654,9 @@ def test_gathered_stacks_equal_the_blocks_copied_one_by_one(d):
         got_ns, got = exact_oracles._sweep_stacks(rho, sigma, ns)
         want = _copied_stacks([block_pair(rho, sigma, n) for n in ns])
         assert got_ns == ns and len(got) == len(want)
-        for (owner, weight, r, s), (want_owner, want_weight, want_r, want_s) in zip(got, want):
+        for (owner, weight, pair), (want_owner, want_weight, want_pair) in zip(got, want):
             assert owner.tolist() == want_owner and np.array_equal(weight, want_weight)
-            assert r.dtype == want_r.dtype and np.array_equal(r, want_r) and np.array_equal(s, want_s)
+            assert pair.dtype == want_pair.dtype and np.array_equal(pair, want_pair)
 
 
 def test_irrep_cache_builds_each_basis_once_for_concurrent_callers(monkeypatch):
@@ -838,15 +908,18 @@ def test_np_test_of_a_pure_pair_keeps_the_exact_input_basis(n):
     assert out.alpha + out.beta == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_np_round_sums_the_positive_part_only_when_asked():
-    # beta_eps_exact's rounds read alpha and beta only; CLI oracle also reads
-    # Tr(lam rho_n - sigma_n)_+, and alpha and beta are the same floats either way
+def test_np_round_sums_the_positive_part_of_every_open_n():
+    # one round gives the test's alpha and beta and Tr(lam rho_n - sigma_n)_+;
+    # an n not open reads 0 in all three, and the open ones do not move
     rho, sigma = _cross_check_pair("full_rank")
     _, stacks = exact_oracles._sweep_stacks(rho, sigma, [3, 5])
     kappa = np.array([math.exp(-3 * 0.1), math.exp(5 * 0.05)])
-    plain = exact_oracles._np_round(stacks, kappa, np.ones(2, bool), 1e-12)
-    (alpha, beta), flags, positive = exact_oracles._np_round(stacks, kappa, np.ones(2, bool), 1e-12, positive=True)
-    assert len(plain) == 2
-    assert plain[0].tobytes() == np.stack((alpha, beta)).tobytes() and plain[1].tolist() == flags.tolist()
+    (alpha, beta), flags, positive = exact_oracles._np_round(stacks, kappa, np.ones(2, bool), 1e-12)
     want = [quantum_mixed_error_exact(rho, sigma, 3, 0.1), quantum_mixed_error_exact(rho, sigma, 5, -0.05)]
     assert (kappa - positive).tolist() == pytest.approx(want, rel=1e-10, abs=1e-15)
+    (alpha_one, beta_one), flags_one, positive_one = exact_oracles._np_round(
+        stacks, kappa, np.array([False, True]), 1e-12)
+    assert [alpha_one[0], beta_one[0], positive_one[0], flags_one[0]] == [0.0, 0.0, 0.0, False]
+    assert alpha_one[1] == pytest.approx(alpha[1], rel=1e-13, abs=1e-16)
+    assert beta_one[1] == pytest.approx(beta[1], rel=1e-13, abs=1e-16)
+    assert positive_one[1] == pytest.approx(positive[1], rel=1e-13, abs=0.0)

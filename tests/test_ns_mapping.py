@@ -137,6 +137,28 @@ def test_cold_type_table_build_peaks_under_40_mib(cold_types):
     assert peak <= 40 << 20
 
 
+def test_type_table_build_subtracts_by_chunk_to_the_same_bits_near_the_table_size(cold_types):
+    # the chunked subtraction rounds every entry as the whole-column one did, and
+    # its lg[col] temporary is one chunk, not a float64 column of every type
+    for n, k in ((7, 3), (40, 5), (120, 4)):
+        counts, log_coef = _type_table(n, k)
+        np.testing.assert_array_equal(counts, ns_mapping._type_counts(n, k))
+        lg = ns_mapping._log_factorials(n)
+        want = np.full(counts.shape[0], lg[n])
+        for col in counts.T:
+            want -= lg[col]
+        assert log_coef.tobytes() == want.tobytes(), (n, k)
+    ns_mapping._TYPE_TABLES.clear()
+    ns_mapping._type_bytes = 0
+    tracemalloc.start()
+    try:
+        counts, log_coef = _type_table(120, 4)  # 302,621 types: 1.2 MB of counts, 2.4 MB of log_coef
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (counts.nbytes + log_coef.nbytes), peak
+
+
 def test_type_table_over_the_budget_is_built_correct_and_not_kept(monkeypatch, cold_types):
     small = _type_table(6, 3)
     monkeypatch.setattr(ns_mapping, "TYPE_CACHE_BYTES", 4096)
