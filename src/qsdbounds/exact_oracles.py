@@ -293,7 +293,7 @@ def _sweep_stacks(
     for owner, weight, bases, powers, index, pad in _layout(rho.dim, tuple(ns)):
         dets, images = _pair_images(rho, sigma, bases)
         flat = [image.reshape(2, -1) for image in images]
-        pair = np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1)[:, index]
+        pair = np.take(np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1), index, axis=1)
         if powers.any():
             scale = np.array([[det**k for k in range(powers.max() + 1)] for det in dets])
             pair *= scale[:, powers, None, None]
