@@ -505,6 +505,9 @@ def test_beta_eps_sweep_matches_each_n_alone(oracle, kind, d, n_max, x, monkeypa
         call(rho, sigma, n_cap + 1, x)
 
 
+_EN_FLOOR = 1e-14  # e_n and the dual cancel to about 1e-16 kappa; this leaves 100 ulps of 1
+
+
 def test_mixed_error_of_near_orthogonal_pure_pairs_is_never_negative():
     # kappa - Tr(kappa rho_n - sigma_n)_+ cancels to e_n = 1 - sqrt(1 - F^n) at
     # a = 0, which a fidelity F of 1e-8 to 1e-1 puts far below its absolute
@@ -531,7 +534,6 @@ def test_mixed_error_of_near_orthogonal_pure_pairs_is_never_negative():
 # beta_{n,eps2}. A lower end of the larger side must sit below an upper end of
 # the smaller, within REFERENCE_FREE_REL plus the absolute floor of the cancelling forms.
 REFERENCE_FREE_REL = 1e-9
-_EN_FLOOR = 1e-14  # e_n and the dual cancel to about 1e-16 kappa; this leaves 100 ulps of 1
 REFERENCE_FREE_EPS = (0.05, 0.1, 0.05 + 0.1)
 
 
