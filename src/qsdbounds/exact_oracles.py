@@ -46,7 +46,8 @@ Partition = tuple[int, ...]
 # State-independent irrep data keyed by (kind, d, partition), built on first
 # use and kept for the life of the process. Entries are built under the lock,
 # so each is built once and every thread of a library caller reads the same
-# basis, and so gets the same bytes as one thread.
+# basis, and so gets the same bytes as one thread. The lock guards these
+# alone: a pair's block images are built per call by `_pair_images`.
 _IRREPS: dict[tuple[str, int, Partition], object] = {}
 _IRREPS_LOCK = threading.RLock()
 
@@ -182,9 +183,9 @@ def _pair_stack(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
 
 def _pair_images(
     rho: DensityMatrix, sigma: DensityMatrix, lams: tuple[Partition, ...]
-) -> tuple[list[float], list[np.ndarray]]:
-    """(dets, images): det rho, det sigma and the read-only stack (pi_lam(rho), pi_lam(sigma))
-    for each lam of fewer than d rows, the action of each n-th tensor power on each block.
+) -> tuple[list[float], dict[Partition, np.ndarray]]:
+    """(dets, images): det rho, det sigma and the stack (pi_lam(rho), pi_lam(sigma)) for each
+    lam of fewer than d rows, the action of each n-th tensor power on each block.
 
     Both states go through every step as one (2, f, f) stack in the basis of
     `_pair_stack`: pi_lam(a) = W_lam^T (pi_mu(a) (x) a) W_lam, symmetrized so
@@ -193,37 +194,27 @@ def _pair_images(
     eigh eigenvalues clamped at 0, so rounding cannot make det^k of a
     rank-deficient state negative.
 
-    The stack, both dets and every image built, the parents included, stay
-    in rho.pair_memo(sigma), so an n-sweep builds each image once. They are
-    built and read under _IRREPS_LOCK: threads get the same read-only
-    arrays, whatever order they ask for n in.
+    images is keyed by diagram and holds every lam asked for and the parents
+    they need, each built once, parents first. Nothing is kept past the call.
     """
     d = rho.dim
-    with _IRREPS_LOCK:
-        memo = rho.pair_memo(sigma)
-        if "irreps" not in memo:
-            pair = _pair_stack(rho, sigma)
-            one = np.ones((2, 1, 1), pair.dtype)
-            pair.flags.writeable = one.flags.writeable = False
-            dets = [max(float(np.prod(x.eigh[0])), 0.0) for x in (rho, sigma)]
-            memo["irreps"] = (dets, {(): one, (1,): pair})
-        dets, stacks = memo["irreps"]
-        pair = stacks[(1,)]
-
-        def image(lam: Partition) -> np.ndarray:
-            if lam not in stacks:
-                w = _basis(d, lam)[0]
-                rep_mu = image(_parent(lam)[0])
-                k, f = rep_mu.shape[1], w.shape[1]
-                # (pi_mu(a) (x) a) W without forming the Kronecker product
-                s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
-                s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
-                rep = (s + s.conj().swapaxes(1, 2)) / 2.0
-                rep.flags.writeable = False
-                stacks[lam] = rep
-            return stacks[lam]
-
-        return dets, [image(lam) for lam in lams]
+    pair = _pair_stack(rho, sigma)
+    dets = [max(float(np.prod(x.eigh[0])), 0.0) for x in (rho, sigma)]
+    images = {(): np.ones((2, 1, 1), pair.dtype), (1,): pair}
+    chain = set()
+    for lam in lams:
+        while lam not in images and lam not in chain:
+            chain.add(lam)
+            lam = _parent(lam)[0]
+    for lam in sorted(chain, key=sum):  # a parent has one box fewer
+        w = _basis(d, lam)[0]
+        rep_mu = images[_parent(lam)[0]]
+        k, f = rep_mu.shape[1], w.shape[1]
+        # (pi_mu(a) (x) a) W without forming the Kronecker product
+        s = (pair[:, None] @ w.reshape(k, d, f)).reshape(2, k, d * f)
+        s = w.T @ (rep_mu @ s).reshape(2, k * d, f)
+        images[lam] = (s + s.conj().swapaxes(1, 2)) / 2.0
+    return dets, images
 
 
 @functools.cache
@@ -280,19 +271,20 @@ def _sweep_stacks(
 ) -> tuple[list[int], list[tuple[np.ndarray, ...]]]:
     """(ns, stacks): n as a list of counts, an int being a sweep of one, and the stacks
     (owner, weight, pair) of `_layout`, pair the (2, B, f, f) stack of R and S, one
-    gather from the base images of `_pair_images` times det^k (a Python float
-    power, as there). Every n is checked by `_counts`, and against `_max_copies`,
-    before any block is built."""
+    gather from the base images that one `_pair_images` call builds for every stack,
+    times det^k (a Python float power, as there). Every n is checked by `_counts`,
+    and against `_max_copies`, before any block is built."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     counts = _counts(n)
     ns = counts.tolist() if isinstance(counts, np.ndarray) else [int(counts)]
     if ns and max(ns) > _max_copies(rho.dim):
         raise ResourceLimitError(f"product dimension {max(rho.dim, 2)}^{max(ns)} exceeds cap {DIM_CAP}")
+    layout = _layout(rho.dim, tuple(ns))
+    dets, images = _pair_images(rho, sigma, tuple(base for _, _, bases, *_ in layout for base in bases))
     stacks = []
-    for owner, weight, bases, powers, index, pad in _layout(rho.dim, tuple(ns)):
-        dets, images = _pair_images(rho, sigma, bases)
-        flat = [image.reshape(2, -1) for image in images]
+    for owner, weight, bases, powers, index, pad in layout:
+        flat = [images[base].reshape(2, -1) for base in bases]
         pair = np.take(np.concatenate([*flat, np.zeros((2, 1), flat[0].dtype)], axis=1), index, axis=1)
         if powers.any():
             scale = np.array([[det**k for k in range(powers.max() + 1)] for det in dets])

@@ -325,8 +325,8 @@ class DensityMatrix:
     `spectral` groups into clusters on first use and from which
     `exact_oracles` reads det and sigma's eigenbasis.
     `pair_memo` gives each partner state a dict for results of the ordered
-    pair that do not depend on n (`exact_oracles` keeps the pair's
-    Schur-Weyl block images there).
+    pair that do not depend on n (its `ClassicalPair` and union support
+    dimension; the exact oracles keep nothing there).
     """
 
     __slots__ = ("array", "eigh", "_spectral", "_pair_memos")

@@ -37,7 +37,9 @@ def block_pair(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> list[tuple[i
     blocks = []
     for lam, m in zip(*exact_oracles._block_shapes(n, d)):
         k = lam[-1] if len(lam) == d else 0
-        dets, (image,) = exact_oracles._pair_images(rho, sigma, (tuple(r - k for r in lam if r > k),))
+        base = tuple(r - k for r in lam if r > k)
+        dets, images = exact_oracles._pair_images(rho, sigma, (base,))
+        image = images[base]
         blocks.append((m, *(image[i] * dets[i] ** k if k else image[i] for i in range(2))))
     return blocks
 

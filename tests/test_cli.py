@@ -93,6 +93,17 @@ def test_qutrit_data_pair_is_the_seeded_full_rank_pair():
         assert np.linalg.eigvalsh(parse_state_file(path).array).min() >= 0.02
 
 
+def test_ququart_data_pair_is_the_seeded_full_rank_pair():
+    # CI's console-script checks of the d = 4 cap, n = 6, run on this pair
+    rng = np.random.default_rng(28)
+    for name in ("rho", "sigma"):
+        path = os.path.join(os.path.dirname(__file__), "data", f"ququart_{name}.json")
+        want = random_full_rank_state(rng, 4)
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == state_to_json_dict(want)
+        assert np.linalg.eigvalsh(parse_state_file(path).array).min() >= 0.02
+
+
 def test_oracle_reference_value(tmp_path):
     zero = DensityMatrix(np.diag([1.0, 0.0]))
     plus = DensityMatrix.pure([1.0, 1.0])

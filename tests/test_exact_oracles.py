@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -698,8 +700,8 @@ def test_irrep_cache_builds_each_basis_once_for_concurrent_callers(monkeypatch):
         )
 
 
-def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
-    # fresh states, so that the threads race to fill their image memos
+def test_every_thread_gets_the_same_blocks_in_any_order():
+    # the reference blocks come from fresh copies of the pair, built on this thread
     def states():
         rng = np.random.default_rng(309)
         return random_full_rank_state(rng, 3), random_full_rank_state(rng, 3)
@@ -737,10 +739,24 @@ def test_state_memo_gives_every_thread_the_same_blocks_in_any_order():
                 m == m0 and np.array_equal(r, r0) and np.array_equal(s, s0)
                 for (m, r, s), (m0, r0, s0) in zip(got[n], blocks)
             )
-    # each image is built once: a second call returns the stored read-only arrays
-    lams = tuple(base for stack in exact_oracles._layout(3, (6,)) for base in stack[2])  # n = 6's base images
-    (_, first), (_, second) = (exact_oracles._pair_images(rho, sigma, lams) for _ in range(2))
-    assert all(r is r0 and not r.flags.writeable for r, r0 in zip(first, second))
+
+
+def test_an_oracle_call_keeps_nothing_of_its_pair():
+    # with gc off, a reference cycle through a call's images would keep them too
+    rng = np.random.default_rng(310)
+    rho, ns = random_full_rank_state(rng, 4), list(range(1, 7))
+    quantum_mixed_error_exact(random_full_rank_state(rng, 4), random_full_rank_state(rng, 4), ns, 0.0)  # warm bases and layout
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            quantum_mixed_error_exact(rho, random_full_rank_state(rng, 4), ns, 0.0)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 0.1e6, kept
+    assert rho._pair_memos == {}
 
 
 def test_np_test_flags_a_kernel_that_only_the_symmetric_block_holds():

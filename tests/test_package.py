@@ -165,3 +165,13 @@ def test_readme_constants_table_matches_the_modules():
     assert len(rows) >= 9
     for name, value, module in rows:
         assert float(value.replace(",", "")) == getattr(importlib.import_module(module), name), name
+    # every int or float constant (an upper-case name) that a module assigns at
+    # top level has a row; _LN2 is a unit, not a setting
+    constants = set()
+    for f in sorted((ROOT / "src" / "qsdbounds").glob("*.py")):
+        module = "qsdbounds" if f.stem == "__init__" else f"qsdbounds.{f.stem}"
+        for name in _defined_names(ast.parse(f.read_text(encoding="utf-8"))):
+            if name.isupper() and type(getattr(importlib.import_module(module), name)) in (int, float):
+                constants.add((name, module))
+    missing = constants - {(name, module) for name, _, module in rows} - {("_LN2", "qsdbounds.cli")}
+    assert sorted(missing) == []
