@@ -34,7 +34,6 @@ from .linalg import (
     _mixed_weight,
     matrix_power_support,
 )
-from .linalg import positive_part_trace  # noqa: F401  (bench/test_bench.py traces this binding)
 from .ns_mapping import _type_masses
 
 _KERNEL_TOL = 1e-12

@@ -31,7 +31,6 @@ from .divergences import (
     chernoff_distance,
     eta,
     phi,
-    psi,  # bound here for the benchmark's tracing, which wraps finite_bounds.psi
     relative_entropy,
     relative_entropy_variance,
     solve_t_r,

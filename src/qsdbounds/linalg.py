@@ -2,8 +2,7 @@
 
 Works on plain complex or real ndarrays: eigendecomposition with
 eigenvalue grouping into distinct clusters, each kept as an orthonormal
-block of eigenvectors, operator powers restricted to the support, a tensor
-product with a hard dimension cap and the trace of the positive part. The
+block of eigenvectors, and operator powers restricted to the support. The
 exact oracles take their Schur-Weyl block spectra from batched eigensolves
 of their own, not from here. DensityMatrix is the one place where outside
 input is validated and symmetrized; the functions here read the Hermitian
@@ -18,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ResourceLimitError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
-DIM_CAP = 4096  # largest d^n of a tensor product or an exact oracle
+DIM_CAP = 4096  # largest max(d, 2)^n of an exact quantum oracle and largest dim of a CLI state file
 DEFAULT_GROUP_TOL = 1e-8  # eigenvalue gap, relative to max(1, ||H||), that splits clusters
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at most this times the largest count as zero
 WEIGHT_CUTOFF = 1e-12  # overlaps Tr P_i Q_j at most this leave the joint support
@@ -207,13 +206,6 @@ class SpectralDecomposition:
         return (cols * np.repeat(self.eigenvalues, self.ranks())) @ cols.conj().T
 
 
-def _eigvalsh(arr: np.ndarray) -> np.ndarray:
-    # exact-diagonal fast path for diagonal states
-    if np.count_nonzero(arr) == np.count_nonzero(arr.diagonal()):
-        return np.sort(arr.diagonal().real)
-    return np.linalg.eigvalsh(arr)
-
-
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of a Hermitian array, read-only, raising ConvergenceError if it fails."""
     try:
@@ -270,21 +262,6 @@ def matrix_power_support(dec: SpectralDecomposition, t: float) -> np.ndarray:
         return np.zeros((dec.dim, dec.dim), dtype=np.complex128)
     cols = np.hstack(dec.vectors[:k])
     return (cols * np.repeat(lam[:k] ** t, dec.ranks()[:k])) @ cols.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with a hard output-dimension cap."""
-    a, b = np.asarray(a), np.asarray(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > DIM_CAP:
-        raise ResourceLimitError(f"tensor product dimension {out_dim} exceeds cap {DIM_CAP}")
-    return np.kron(a, b)
-
-
-def positive_part_trace(h: np.ndarray) -> float:
-    """Tr (H)_+ of a Hermitian array: the sum of its positive eigenvalues."""
-    w = _eigvalsh(h)
-    return _fsum(w[w > 0.0])
 
 
 def support_overlap_table(

@@ -18,12 +18,13 @@ from qsdbounds import (
     hoeffding_upper,
     mixed_upper,
     psi_curve_from_probabilities,
+    quantum_mixed_error_exact,
     rate_curve,
 )
 from qsdbounds import _search, cli, linalg
 from qsdbounds.cli import main, parse_state_file
 
-from helpers import random_full_rank_state, state_to_json_dict
+from helpers import random_full_rank_state, random_unitary, state_to_json_dict
 
 RHO = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
 SIG = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
@@ -399,6 +400,56 @@ def test_exit_code_boolean_dim(tmp_path, capsys):
     assert code == 2
     assert "dim must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,code,message", [
+    ("{not json", 2, "is not valid JSON"),
+    ("[1, 2]", 2, "needs keys 'dim' and 'matrix'"),
+    ('{"dim": 2}', 2, "needs keys 'dim' and 'matrix'"),
+    ('{"dim": 4097, "matrix": []}', 3, "exceeds cap 4096"),
+    ('{"dim": 1, "matrix": [[["one", 0]]]}', 2, "matrix entries must be [re, im] pairs"),
+    ('{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}', 2, "matrix entries must be [re, im] pairs"),
+    ('{"dim": 2, "matrix": [[[1, 0]]]}', 2, "does not match (dim, dim, 2)"),
+    ('{"dim": 2, "matrix": [[[1.000000002, 0], [0, 0]], [[0, 0], [-2e-9, 0]]]}', 2, "negative eigenvalue"),
+], ids=["json", "list", "no-matrix", "cap", "string-entry", "ragged", "shape", "negative"])
+def test_state_file_rejections(tmp_path, capsys, text, code, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error[") and message in err
+    assert not out.exists()
+
+
+def test_state_file_clamps_a_rounded_negative_eigenvalue(tmp_path, capsys, monkeypatch):
+    # a pure qutrit written to JSON: its smallest eigenvalue rounds to a few 1e-18 below
+    # 0, so it is clamped to 0 and the clamped state is decomposed again
+    rng = np.random.default_rng(29)
+    pure = DensityMatrix.pure(rng.normal(size=3) + 1j * rng.normal(size=3))
+    eigh = np.linalg.eigh
+
+    def parsed(path):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        state = parse_state_file(path)
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        assert len(calls) == 2  # the file's matrix, then the clamped one
+        return state
+
+    state = parsed(write_state(tmp_path / "pure.json", pure))
+    assert np.max(np.abs(state.array - pure.array)) <= 1e-15
+    sigma = random_full_rank_state(np.random.default_rng(1), 3)
+    got = quantum_mixed_error_exact(state, sigma, range(1, 8), 0.0)
+    want = quantum_mixed_error_exact(pure, sigma, range(1, 8), 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # a rotated diag(1 + 5e-10, -5e-10): within the 1e-9 tolerance, clamped silently
+    u = random_unitary(np.random.default_rng(2), 2)
+    near = (u * np.array([1.0 + 5e-10, -5e-10])) @ u.conj().T
+    (tmp_path / "near.json").write_text(json.dumps(
+        {"dim": 2, "matrix": [[[x.real, x.imag] for x in row] for row in near.tolist()]}))
+    parsed(str(tmp_path / "near.json"))
 
 
 @pytest.mark.parametrize("n_max", ["0", "-3"])

@@ -256,6 +256,15 @@ def test_hoeffding_infinite_below_psi_one():
     assert boundary == pytest.approx(-psi(curve, 1.0) + psi_prime(curve, 1.0), abs=1e-9)
 
 
+def test_broken_support_pair_has_infinite_hoeffding_and_no_a_r_below_minus_psi_one():
+    # part of p's mass outside q's support: -psi(1) = log 2
+    pair = ClassicalPair(labels=((0, 0),), p=(0.5,), q=(1.0,), a_support_contained=False)
+    assert -psi(pair, 1.0) == math.log(2.0)
+    assert hoeffding_distance(pair, 0.0) == math.inf
+    with pytest.raises(ValidationError, match="a_r needs r >"):
+        a_r(pair, 0.1)
+
+
 def test_hoeffding_just_above_psi_one_matches_a_40_digit_reference():
     # 5e-14 above -psi(1): H_r falls like sqrt(2 psi''(1) (r + psi(1))), so the
     # t -> 1 limit r + psi'(1) is 2e-7 off here

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -941,3 +942,29 @@ def test_np_round_sums_the_positive_part_of_every_open_n():
     assert alpha_one[1] == pytest.approx(alpha[1], rel=1e-13, abs=1e-16)
     assert beta_one[1] == pytest.approx(beta[1], rel=1e-13, abs=1e-16)
     assert positive_one[1] == pytest.approx(positive[1], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("oracle", ["beta_eps_exact", "quantum_mixed_error_exact", "np_test_errors"])
+def test_quantum_oracles_reject_a_dimension_mismatch_before_any_eigensolve(oracle, monkeypatch):
+    rho = random_full_rank_state(np.random.default_rng(7), 2)
+    sigma = random_full_rank_state(np.random.default_rng(8), 3)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolve)
+    with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+        _ORACLES[oracle](rho, sigma, 2)
+
+
+@pytest.mark.parametrize("p,q,eps,message", [
+    ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0], 0.1, "p + q > 0 per letter"),
+    ([0.5, 0.6], [0.5, 0.5], 0.1, "sum to 1 within 1e-9"),
+    ([0.5, 0.5], [0.3, 0.7], 1.5, "eps must lie in [0, 1]"),
+    ([0.5, 0.5], [0.3, 0.7], -0.1, "eps must lie in [0, 1]"),
+])
+def test_classical_beta_eps_rejects_invalid_input(p, q, eps, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        classical_beta_eps_exact(p, q, 2, eps)
+
+
+def test_classical_exact_errors_log_rejects_a_zero_mass():
+    with pytest.raises(ValidationError, match="strictly positive"):
+        classical_exact_errors_log([1.0, 0.0], [0.5, 0.5], 2, 0.0)

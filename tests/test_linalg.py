@@ -12,9 +12,7 @@ from qsdbounds.linalg import (
     _fsum_rows,
     _sum2_rows,
     eigh,
-    kron,
     matrix_power_support,
-    positive_part_trace,
     support_overlap_table,
 )
 
@@ -113,12 +111,6 @@ def test_matrix_power_one_restricts_to_support():
     assert np.max(np.abs(matrix_power_support(dec, 1.0) - state.array)) < 1e-10
 
 
-def test_kron_identities_and_diagonal():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-    out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
 def test_tensor_power_dim_and_trace():
     rng = np.random.default_rng(3)
     state = random_full_rank_state(rng, 2)
@@ -133,22 +125,6 @@ def test_tensor_power_cap():
     for n in (0, 2.5, 2.0, True):
         with pytest.raises(ValidationError):
             tensor_power(np.eye(2), n)
-
-
-def test_positive_part_trace_values():
-    assert positive_part_trace(np.diag([1.0, -2.0])) == pytest.approx(1.0, abs=1e-12)
-    assert positive_part_trace(np.diag([0.3, 0.7])) == pytest.approx(1.0, abs=1e-12)
-    assert positive_part_trace(ZERO - PLUS) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
-
-
-def test_positive_part_trace_matches_the_positive_eigenvalues():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (z + z.conj().T) / 2.0
-        w = np.linalg.eigvalsh(h)
-        assert positive_part_trace(h) == pytest.approx(math.fsum(w[w > 0.0].tolist()), abs=1e-12)
-        assert positive_part_trace(h) - positive_part_trace(-h) == pytest.approx(np.trace(h).real, abs=1e-10)
 
 
 def test_density_matrix_validation():

@@ -29,8 +29,8 @@ PUBLIC_NAMES = [
     "build_classical_pair", "build_psi", "chernoff_distance", "classical_beta_eps_exact",
     "classical_exact_errors", "classical_exact_errors_log", "classical_lower", "en_bounds",
     "en_exact_log", "eta", "hoeffding_distance", "hoeffding_upper", "inc_beta_reg",
-    "incbeta_monotonicity_check", "kron", "matrix_power_support", "mixed_upper", "np_test_errors",
-    "phi", "phi_hat", "positive_part_trace", "profile_from_curve", "psi",
+    "incbeta_monotonicity_check", "matrix_power_support", "mixed_upper", "np_test_errors",
+    "phi", "phi_hat", "profile_from_curve", "psi",
     "psi_curve_from_probabilities", "psi_moments", "psi_prime", "psi_second",
     "quantum_chernoff_lower", "quantum_mixed_error_exact", "quantum_mixed_lower", "rate_curve",
     "relative_entropy", "relative_entropy_variance", "renyi", "second_order_reference",
@@ -89,6 +89,23 @@ def test_every_module_level_name_has_a_caller():
         f"{f.stem}.{name}" for f, tree in trees.items() if f.parent == package
         for name in _defined_names(tree) if name not in referenced
     ]
+    assert unused == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ imports only to re-export; every other module reads what it imports
+    unused = []
+    for f in sorted((ROOT / "src" / "qsdbounds").glob("*.py")):
+        if f.name == "__init__.py":
+            continue
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bound = [
+            alias.asname or alias.name.split(".", 1)[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        unused += [f"{f.stem}.{name}" for name in bound if name != "annotations" and name not in used]
     assert unused == []
 
 
