@@ -4,18 +4,21 @@ Subcommands: divergences, stein, hoeffding, chernoff, binary, oracle.
 State inputs are JSON files {"dim": d, "matrix": [[[re, im], ...], ...]};
 outputs are CSV tables and JSON reports written into the output directory
 (--out, or the QSDBOUNDS_OUT environment variable, default the current
-directory). Output bytes are deterministic for identical inputs.
+directory). Output bytes are deterministic for identical inputs. A process keeps
+the state pairs of its recent requests, keyed by the files' bytes (`_load_pair`).
 
 Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -35,6 +38,19 @@ from .finite_bounds import (
 from .linalg import DIM_CAP, DensityMatrix, _eigh
 
 _LN2 = math.log(2.0)
+_PAIR_CACHE_SIZE = 16  # state pairs that `_load_pair` keeps, least recently used evicted
+_PAIR_CACHE_BYTES = 65536  # largest total size of the two files of a pair that `_load_pair` keeps
+
+_PAIRS: collections.OrderedDict = collections.OrderedDict()  # (rho bytes, sigma bytes) -> (rho, sigma)
+_PAIRS_LOCK = threading.Lock()
+
+
+def _read_state_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read state file {path}: {exc}") from exc
 
 
 def parse_state_file(path: str) -> DensityMatrix:
@@ -43,14 +59,44 @@ def parse_state_file(path: str) -> DensityMatrix:
     Hermiticity must hold within 1e-9 and eigenvalues must exceed -1e-9
     (small negatives are clamped). A trace deviating from 1 by more than
     1e-6 is rejected; smaller deviations are renormalized, with a warning
-    beyond 1e-9.
+    beyond 1e-9. The file is read and parsed on every call.
     """
+    return _parse_state(path, _read_state_bytes(path))[0]
+
+
+def _load_pair(rho_path: str, sigma_path: str) -> tuple[DensityMatrix, DensityMatrix]:
+    """(rho, sigma) of two state files: the pair kept for exactly their bytes,
+    or both parsed from the bytes just read, so a rewritten file is seen.
+
+    A pair is kept, with the eigendecompositions and pair memo its states
+    gather, when its files total at most _PAIR_CACHE_BYTES and neither parse
+    warned; the _PAIR_CACHE_SIZE most recently used pairs are kept. Parsing
+    runs outside the lock: threads that race on one key each parse, and all
+    return the pair stored first. A parse that raises stores nothing.
+    """
+    key = (_read_state_bytes(rho_path), _read_state_bytes(sigma_path))
+    with _PAIRS_LOCK:
+        pair = _PAIRS.get(key)
+        if pair is not None:
+            _PAIRS.move_to_end(key)
+            return pair
+    (rho, rho_warned), (sigma, sigma_warned) = _parse_state(rho_path, key[0]), _parse_state(sigma_path, key[1])
+    if rho_warned or sigma_warned or len(key[0]) + len(key[1]) > _PAIR_CACHE_BYTES:
+        return rho, sigma
+    with _PAIRS_LOCK:
+        pair = _PAIRS.setdefault(key, (rho, sigma))
+        _PAIRS.move_to_end(key)
+        while len(_PAIRS) > _PAIR_CACHE_SIZE:
+            _PAIRS.popitem(last=False)
+    return pair
+
+
+def _parse_state(path: str, raw: bytes) -> tuple[DensityMatrix, bool]:
+    """(state, whether it was renormalized with a warning) of the bytes of the
+    state file at path, validated as `parse_state_file` says."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"state file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "matrix" not in data:
         raise ValidationError(f"state file {path} needs keys 'dim' and 'matrix'")
@@ -91,9 +137,10 @@ def parse_state_file(path: str) -> DensityMatrix:
         trace = float(np.trace(herm).real)
     if abs(trace - 1.0) > 1e-6:
         raise ValidationError(f"state file {path}: trace {trace!r} deviates from 1 beyond 1e-6")
-    if abs(trace - 1.0) > 1e-9:
+    warned = abs(trace - 1.0) > 1e-9
+    if warned:
         print(f"warning: renormalizing {path}: trace was {trace!r}", file=sys.stderr)
-    return DensityMatrix(herm / trace) if clamped else DensityMatrix._decomposed(state, w, v)
+    return DensityMatrix(herm / trace) if clamped else DensityMatrix._decomposed(state, w, v), warned
 
 
 def _json_scalar(x):
@@ -106,10 +153,13 @@ def _json_scalar(x):
 
 
 def _write_text(out_dir: str, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
     print(path)
 
 
@@ -128,8 +178,7 @@ def _write_json(out_dir: str, name: str, payload: dict) -> None:
 
 
 def _cmd_divergences(args) -> int:
-    rho = parse_state_file(args.rho)
-    sigma = parse_state_file(args.sigma)
+    rho, sigma = _load_pair(args.rho, args.sigma)
     curve = _state_pair(rho, sigma)
     profile = profile_from_curve(curve)
     unit = _LN2 if args.bits else 1.0
@@ -166,8 +215,7 @@ def _exact_rates(oracle, dim: int, n_max: int) -> list:
 
 
 def _cmd_stein(args) -> int:
-    rho = parse_state_file(args.rho)
-    sigma = parse_state_file(args.sigma)
+    rho, sigma = _load_pair(args.rho, args.sigma)
     curve = _state_pair(rho, sigma)
     exact = _exact_rates(lambda capped: beta_eps_exact(rho, sigma, capped, args.eps), rho.dim, args.n_max)
     ns = range(1, args.n_max + 1)
@@ -180,8 +228,7 @@ def _cmd_stein(args) -> int:
 
 
 def _cmd_hoeffding(args) -> int:
-    rho = parse_state_file(args.rho)
-    sigma = parse_state_file(args.sigma)
+    rho, sigma = _load_pair(args.rho, args.sigma)
     curve = _state_pair(rho, sigma)
     ns = range(1, args.n_max + 1)
     upper = hoeffding_upper(curve, ns, args.r)
@@ -194,8 +241,7 @@ def _cmd_hoeffding(args) -> int:
 
 
 def _cmd_chernoff(args) -> int:
-    rho = parse_state_file(args.rho)
-    sigma = parse_state_file(args.sigma)
+    rho, sigma = _load_pair(args.rho, args.sigma)
     curve = _state_pair(rho, sigma)
     ns = range(1, args.n_max + 1)
     upper = mixed_upper(curve, ns, 0.0).mixed.bound_value.tolist()
@@ -214,8 +260,7 @@ def _cmd_binary(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    rho = parse_state_file(args.rho)
-    sigma = parse_state_file(args.sigma)
+    rho, sigma = _load_pair(args.rho, args.sigma)
     mixed, test = _oracle_errors(rho, sigma, args.n, args.a)
     _write_json(
         args.out,

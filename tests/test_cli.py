@@ -1,8 +1,13 @@
+import collections
+import concurrent.futures
+import gc
 import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from qsdbounds import (
 from qsdbounds import _search, cli, linalg
 from qsdbounds.cli import main, parse_state_file
 
-from helpers import random_full_rank_state, random_unitary, state_to_json_dict
+from helpers import qubit_pairs, random_full_rank_state, random_unitary, state_to_json_dict
 
 RHO = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
 SIG = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
@@ -33,6 +38,11 @@ SIG = DensityMatrix(np.array([[0.4, 0.1 + 0.05j], [0.1 - 0.05j, 0.6]]))
 def write_state(path, state: DensityMatrix) -> str:
     path.write_text(json.dumps(state_to_json_dict(state)))
     return str(path)
+
+
+def empty_pair_cache(monkeypatch) -> None:
+    """An empty CLI state pair cache from here to the end of the test; the process's own comes back after it."""
+    monkeypatch.setattr(cli, "_PAIRS", collections.OrderedDict())
 
 
 @pytest.fixture
@@ -411,10 +421,11 @@ def test_exit_code_boolean_dim(tmp_path, capsys):
     ('{"dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}', 2, "matrix entries must be [re, im] pairs"),
     ('{"dim": 2, "matrix": [[[1, 0]]]}', 2, "does not match (dim, dim, 2)"),
     ('{"dim": 2, "matrix": [[[1.000000002, 0], [0, 0]], [[0, 0], [-2e-9, 0]]]}', 2, "negative eigenvalue"),
-], ids=["json", "list", "no-matrix", "cap", "string-entry", "ragged", "shape", "negative"])
+    (b'\xff\xfe{"dim": 1}', 2, "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+], ids=["json", "list", "no-matrix", "cap", "string-entry", "ragged", "shape", "negative", "not-utf-8"])
 def test_state_file_rejections(tmp_path, capsys, text, code, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     assert main(["divergences", "--rho", str(bad), "--sigma", str(bad), "--out", str(out)]) == code
     err = capsys.readouterr().err
@@ -486,6 +497,7 @@ def _count_calls(monkeypatch, counts: dict, fn) -> None:
 def test_chernoff_builds_one_pair_and_solves_its_search_once(tmp_path, pair_files, monkeypatch):
     # the upper rate -phi(0) and the lower bound's Chernoff distance read the
     # one joint-support pair of the state pair, so they share one bisection
+    empty_pair_cache(monkeypatch)
     counts = {"support_overlap_table": 0, "bisect_decreasing": 0}
     _count_calls(monkeypatch, counts, linalg.support_overlap_table)
     _count_calls(monkeypatch, counts, _search.bisect_decreasing)
@@ -524,9 +536,208 @@ def test_a_request_decomposes_each_state_once(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     want = {"chernoff": [("eigh", 2), ("eigh", 2), ("eigvalsh", 2)], "oracle": [("eigh", 2), ("eigh", 2)]}
     for command, argv in argvs.items():
+        empty_pair_cache(monkeypatch)
         calls.clear()
         assert main(argv) == 0
         assert [call for call in calls if call[1] == 2] == want[command], command
+        calls.clear()  # a repeat reads the kept pair and decomposes nothing
+        assert main(argv) == 0
+        assert [call for call in calls if call[1] == 2] == [], command
+
+
+def _outputs(out) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_a_repeated_request_reuses_the_kept_pair_and_writes_the_same_bytes(tmp_path, pair_files, monkeypatch):
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    argvs = [
+        ["chernoff", "--rho", rho_f, "--sigma", sig_f, "--n-max", "13"],
+        ["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1", "--n-max", "8"],
+        ["hoeffding", "--rho", rho_f, "--sigma", sig_f, "--r", "0.05", "--n-max", "8"],
+    ]
+    for argv in argvs:
+        assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    cold = _outputs(tmp_path / "cold")
+    counts = {"support_overlap_table": 0, "bisect_decreasing": 0}
+    _count_calls(monkeypatch, counts, linalg.support_overlap_table)
+    _count_calls(monkeypatch, counts, _search.bisect_decreasing)
+    for argv in argvs:
+        assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    assert counts == {"support_overlap_table": 0, "bisect_decreasing": 0}
+    assert _outputs(tmp_path / "warm") == cold and len(cli._PAIRS) == 1
+
+
+def test_a_state_file_rewritten_in_place_is_read_again(tmp_path, pair_files, monkeypatch):
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    argv = ["stein", "--rho", rho_f, "--sigma", sig_f, "--eps", "0.1", "--n-max", "6"]
+    assert main([*argv, "--out", str(tmp_path / "before")]) == 0
+    write_state(tmp_path / "rho.json", random_full_rank_state(np.random.default_rng(5), 2))
+    assert main([*argv, "--out", str(tmp_path / "after")]) == 0
+    after = (tmp_path / "after" / "stein.csv").read_bytes()
+    assert after != (tmp_path / "before" / "stein.csv").read_bytes()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "qsdbounds", *argv, "--out", str(tmp_path / "fresh")],
+                           env=env, capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    assert (tmp_path / "fresh" / "stein.csv").read_bytes() == after
+    assert len(cli._PAIRS) == 2
+
+
+def test_an_invalid_state_file_is_parsed_again_once_fixed(tmp_path, pair_files, monkeypatch, capsys):
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    valid = (tmp_path / "rho.json").read_bytes()
+    argv = ["divergences", "--rho", rho_f, "--sigma", sig_f, "--out", str(tmp_path / "out")]
+    (tmp_path / "rho.json").write_text('{"dim": 2}')
+    assert main(argv) == 2
+    assert "needs keys 'dim' and 'matrix'" in capsys.readouterr().err
+    assert len(cli._PAIRS) == 0
+    (tmp_path / "rho.json").write_bytes(valid)
+    assert main(argv) == 0
+    assert len(cli._PAIRS) == 1
+
+
+def test_a_renormalized_pair_warns_on_every_request(tmp_path, pair_files, monkeypatch, capsys):
+    empty_pair_cache(monkeypatch)
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"dim": 2, "matrix": [[[0.5000005, 0], [0, 0]], [[0, 0], [0.5, 0]]]}))
+    argv = ["divergences", "--rho", str(near), "--sigma", pair_files[1], "--out", str(tmp_path / "out")]
+    for _ in range(3):
+        assert main(argv) == 0
+        assert capsys.readouterr().err.startswith(f"warning: renormalizing {near}")
+    assert len(cli._PAIRS) == 0
+
+
+def test_two_paths_with_the_same_bytes_share_one_kept_pair(tmp_path, pair_files, monkeypatch):
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    copy = tmp_path / "copy.json"
+    copy.write_bytes((tmp_path / "rho.json").read_bytes())
+    assert cli._load_pair(str(copy), sig_f) is cli._load_pair(rho_f, sig_f)
+    assert len(cli._PAIRS) == 1
+
+
+def test_a_pair_is_kept_only_up_to_the_byte_bound(tmp_path, pair_files, monkeypatch):
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    size = os.path.getsize(rho_f) + os.path.getsize(sig_f)
+    monkeypatch.setattr(cli, "_PAIR_CACHE_BYTES", size - 1)
+    assert cli._load_pair(rho_f, sig_f)[0] is not cli._load_pair(rho_f, sig_f)[0] and len(cli._PAIRS) == 0
+    monkeypatch.setattr(cli, "_PAIR_CACHE_BYTES", size)
+    assert cli._load_pair(rho_f, sig_f) is cli._load_pair(rho_f, sig_f) and len(cli._PAIRS) == 1
+    # the d = 128 pair of the divergences test: over 64 KiB, parsed on every request
+    monkeypatch.undo()
+    empty_pair_cache(monkeypatch)
+    rng = np.random.default_rng(128)
+    rho_f = write_state(tmp_path / "rho128.json", random_full_rank_state(rng, 128, min_eval=1e-3))
+    sig_f = write_state(tmp_path / "sig128.json", random_full_rank_state(rng, 128, min_eval=1e-3))
+    assert os.path.getsize(rho_f) + os.path.getsize(sig_f) > cli._PAIR_CACHE_BYTES == 65536
+    assert cli._load_pair(rho_f, sig_f)[0] is not cli._load_pair(rho_f, sig_f)[0] and len(cli._PAIRS) == 0
+
+
+def _write_pairs(tmp_path, seed: int, count: int) -> list:
+    return [(write_state(tmp_path / f"rho{k}.json", rho), write_state(tmp_path / f"sig{k}.json", sigma))
+            for k, (rho, sigma) in enumerate(qubit_pairs(seed, count))]
+
+
+def _pair_requests(rho_f: str, sig_f: str) -> list:
+    states = ["--rho", rho_f, "--sigma", sig_f]
+    return [
+        ["stein", *states, "--eps", "0.1", "--n-max", "6"],
+        ["chernoff", *states, "--n-max", "6"],
+        ["hoeffding", *states, "--r", "0.002", "--n-max", "6"],
+    ]
+
+
+def test_forty_pairs_keep_at_most_sixteen_and_bounded_memory(tmp_path, monkeypatch, capsys):
+    files = _write_pairs(tmp_path, 40, 41)
+    out = str(tmp_path / "out")
+    for argv in _pair_requests(*files[40]):  # the process-wide caches of the exact oracles
+        assert main([*argv, "--out", out]) == 0
+    empty_pair_cache(monkeypatch)
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k, pair in enumerate(files[:40]):
+            for argv in _pair_requests(*pair):
+                assert main([*argv, "--out", out]) == 0
+            capsys.readouterr()
+            assert len(cli._PAIRS) == min(k + 1, 16)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+        cli._PAIRS.clear()
+        gc.collect()
+        held = retained - (tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    # measured: 118-121 kB retained, of which the 16 kept pairs held 89.7 kB (5.6 kB a pair:
+    # the key bytes, two states with their eigh, a ClassicalPair and its memo)
+    assert retained <= 160_000 and 0 < held <= 120_000, (retained, held)
+
+
+@pytest.mark.parametrize("size", [16, 4])
+def test_threads_sharing_the_cache_write_the_bytes_of_a_serial_run(tmp_path, monkeypatch, capsys, size):
+    # 4 threads x 30 requests over 8 pairs; at size 4 pairs are evicted while threads use them
+    files = _write_pairs(tmp_path, 8, 8)
+    requests = [argv for pair in files for argv in _pair_requests(*pair)] * 5  # 120
+
+    def run(k: int, argv: list, prefix: str) -> tuple:
+        out = tmp_path / f"{prefix}{k}"
+        assert main([*argv, "--out", str(out)]) == 0
+        with cli._PAIRS_LOCK:
+            return len(cli._PAIRS), _outputs(out)
+
+    empty_pair_cache(monkeypatch)
+    serial = [run(k, argv, "serial")[1] for k, argv in enumerate(requests)]
+    empty_pair_cache(monkeypatch)
+    monkeypatch.setattr(cli, "_PAIR_CACHE_SIZE", size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the lookups and stores too
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, range(len(requests)), requests, ["thread"] * len(requests), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert [outputs for _, outputs in threaded] == serial
+    assert max(kept for kept, _ in threaded) <= size and len(cli._PAIRS) == min(8, size)
+
+
+def test_a_kept_pair_memo_grows_by_a_few_hundred_bytes_per_rate(tmp_path, pair_files, monkeypatch, capsys):
+    # each distinct --r inside the window (0, 0.2385) keeps t_r and psi(t_r) in the pair's memo
+    empty_pair_cache(monkeypatch)
+    rho_f, sig_f = pair_files
+    argv = ["hoeffding", "--rho", rho_f, "--sigma", sig_f, "--n-max", "6", "--out", str(tmp_path / "out")]
+    assert main([*argv, "--r", "0.005"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(100):
+            assert main([*argv, "--r", repr(0.01 + k * 1e-4)]) == 0
+            capsys.readouterr()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained <= 100 * 500, retained  # measured: 28.6-32.8 kB
+
+
+def test_an_unusable_out_exits_2(tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for out in (regular, regular / "sub"):
+        assert main(["binary", "--p", "0.2", "--q", "0.6", "--n-max", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[invalid-input]: cannot write {out / 'binary_rate.csv'}: "), err
+    assert regular.read_text() == ""
 
 
 def test_csv_cells_are_the_bytes_of_fmt(tmp_path):
